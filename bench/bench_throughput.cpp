@@ -1,8 +1,7 @@
 // Throughput benchmark for the parallel compute engine: GEMM GFLOP/s,
 // training epoch time, random-walk generation, candidate generation,
-// ServingEngine rank latency/QPS, coalesced (BatchingQueue) serving
-// latency/QPS, end-to-end HTTP serving latency/QPS/shed rate over the
-// loopback, the online route-planning pipeline (cold vs candidate-cached
+// ServingEngine rank latency/QPS, end-to-end HTTP serving
+// latency/QPS/shed rate over the loopback, the online route-planning pipeline (cold vs candidate-cached
 // latency + routes/s), and snapshot capture/hot-swap latency at 1/2/4/N
 // threads.
 // Emits BENCH_throughput.json (override the path with PATHRANK_BENCH_OUT)
@@ -226,100 +225,6 @@ void BenchServing(const bench::ExperimentScale& scale,
     std::printf(
         "serve rank  threads=%zu  %.1f QPS  p50 %.2f ms  p99 %.2f ms\n",
         threads, qps, p50 * 1e3, p99 * 1e3);
-  }
-}
-
-void BenchServingBatched(const bench::ExperimentScale& scale,
-                         const bench::Workload& workload,
-                         const std::vector<size_t>& thread_counts,
-                         Metrics* metrics) {
-  core::PathRankConfig model_cfg;
-  model_cfg.embedding_dim = 64;
-  model_cfg.hidden_size = scale.hidden_size;
-  model_cfg.seed = 7;
-  const core::PathRankModel model(workload.network.num_vertices(), model_cfg,
-                                  core::InitMode::kRandomInit);
-  const auto snapshot = serving::ModelSnapshot::Capture(model);
-
-  serving::ServingOptions options;
-  options.candidates.k = scale.candidates_k;
-  options.candidates.similarity_threshold = 0.6;
-  options.candidates.max_enumerated = 300;
-
-  std::vector<serving::RankQuery> queries;
-  const size_t num_queries = std::min<size_t>(workload.trips.size(), 48);
-  queries.reserve(num_queries);
-  for (size_t i = 0; i < num_queries; ++i) {
-    queries.push_back(
-        {workload.trips[i].source(), workload.trips[i].destination()});
-  }
-
-  for (size_t threads : thread_counts) {
-    SetNumThreads(threads);
-    const serving::ServingEngine engine(workload.network, snapshot, options);
-    serving::BatchingOptions batch_options;  // default max_batch/max_wait
-    serving::BatchingQueue queue(engine, batch_options);
-    // Closed-loop clients on plain threads: pool workers must never block
-    // on queue futures (batching_queue.h), and the pool stays free for
-    // the dispatcher's coalesced kernels. More clients than pool threads
-    // keeps the queue non-empty so flushes actually coalesce.
-    const size_t clients = std::max<size_t>(4, threads);
-
-    // Warm-up.
-    queue.SubmitRank(queries[0].source, queries[0].destination).get();
-
-    std::vector<double> latency;
-    std::atomic<size_t> served{0};
-    std::atomic<bool> stop{false};
-    std::vector<std::vector<double>> per_client(clients);
-    Stopwatch watch;
-    std::vector<std::thread> workers;
-    workers.reserve(clients);
-    for (size_t c = 0; c < clients; ++c) {
-      workers.emplace_back([&, c] {
-        size_t i = c;
-        while (!stop.load(std::memory_order_relaxed)) {
-          const auto& query = queries[i % queries.size()];
-          Stopwatch per_query;
-          queue.SubmitRank(query.source, query.destination).get();
-          per_client[c].push_back(per_query.ElapsedSeconds());
-          served.fetch_add(1, std::memory_order_relaxed);
-          i += clients;
-        }
-      });
-    }
-    // Run until the sample is big enough for a meaningful p99 (with ~20
-    // samples the 0.99 quantile is just the max and gates flakily), with
-    // a wall cap so slow machines still finish.
-    while (served.load(std::memory_order_relaxed) < 200 &&
-           watch.ElapsedSeconds() < 5.0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-    stop.store(true);
-    for (auto& w : workers) w.join();
-    const double wall = watch.ElapsedSeconds();
-    for (const auto& client_latency : per_client) {
-      latency.insert(latency.end(), client_latency.begin(),
-                     client_latency.end());
-    }
-
-    std::sort(latency.begin(), latency.end());
-    const double p50 = PercentileSorted(latency, 0.50);
-    const double p99 = PercentileSorted(latency, 0.99);
-    const double qps = static_cast<double>(served.load()) / wall;
-    const double rows_per_flush =
-        queue.num_flushes() > 0
-            ? static_cast<double>(queue.num_rows()) /
-                  static_cast<double>(queue.num_flushes())
-            : 0.0;
-    const std::string suffix = "_t" + std::to_string(threads);
-    (*metrics)["serve_batched_p50_s" + suffix] = p50;
-    (*metrics)["serve_batched_p99_s" + suffix] = p99;
-    (*metrics)["serve_batched_per_s" + suffix] = qps;
-    std::printf(
-        "serve batch threads=%zu  %.1f QPS  p50 %.2f ms  p99 %.2f ms  "
-        "(%.1f rows/flush)\n",
-        threads, qps, p50 * 1e3, p99 * 1e3, rows_per_flush);
   }
 }
 
@@ -953,7 +858,6 @@ int main(int argc, char** argv) {
   BenchWalks(scale, workload, thread_counts, &metrics);
   BenchCandidates(scale, workload, thread_counts, &metrics);
   BenchServing(scale, workload, thread_counts, &metrics);
-  BenchServingBatched(scale, workload, thread_counts, &metrics);
   BenchServingHttp(scale, workload, &metrics);
   BenchServingRoute(scale, workload, &metrics);
   BenchServingRouteColdEngines(&metrics);

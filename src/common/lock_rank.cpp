@@ -15,12 +15,10 @@ const char* LockRankName(int rank) {
     case LockRank::kRouteFlightTable: return "planner.flight_table";
     case LockRank::kRouteFlight: return "planner.flight";
     case LockRank::kRouteCache: return "planner.cache";
-    case LockRank::kBatchingQueue: return "batching.queue";
-    case LockRank::kEngineSnapshot: return "engine.snapshot";
-    case LockRank::kEngineBatchReplica: return "engine.batch_replica";
     case LockRank::kPoolRegion: return "pool.region";
     case LockRank::kPoolState: return "pool.state";
     case LockRank::kPoolError: return "pool.error";
+    case LockRank::kEngineSnapshot: return "engine.snapshot";
     case LockRank::kEngineReplica: return "engine.replica";
     case LockRank::kHttpEndpointStats: return "http.endpoint_stats";
     case LockRank::kStderrLog: return "log.stderr";

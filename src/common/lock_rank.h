@@ -74,17 +74,6 @@ struct LockRank {
   /// RoutePlanner::cache_mu_ — the LRU candidate cache.
   static constexpr int kRouteCache = 80;
 
-  // -- model serving -----------------------------------------------------
-  /// BatchingQueue::mu_ — the pending-request queue. Flushes score
-  /// OUTSIDE it, so it never nests over the engine locks below.
-  static constexpr int kBatchingQueue = 90;
-  /// ServingEngine::snapshot_mu_ — the served-snapshot slot.
-  static constexpr int kEngineSnapshot = 100;
-  /// ServingEngine::batch_replica_->mu — the coalesced-scoring replica.
-  /// Ranked BEFORE the pool locks: its holder is the one scoring path
-  /// allowed to dispatch a pool region (ScoreCoalesced).
-  static constexpr int kEngineBatchReplica = 110;
-
   // -- global thread pool ------------------------------------------------
   /// ThreadPool::region_mutex_ — one parallel region at a time; held by
   /// the region owner for the region's whole lifetime (during which its
@@ -97,6 +86,12 @@ struct LockRank {
   static constexpr int kPoolError = 140;
 
   // -- leaves ------------------------------------------------------------
+  /// ServingEngine::snapshot_mu_ — the served-snapshot slot, held only
+  /// for one shared_ptr copy or exchange. Ranked AFTER the pool locks
+  /// because RankBatch's region owner holds region_mutex_ while its
+  /// chunks capture the snapshot, and before the replicas because the
+  /// handle is copied out before a replica lock is taken.
+  static constexpr int kEngineSnapshot = 145;
   /// ServingEngine round-robin Replica::mu — per-caller scoring scratch.
   /// Ranked AFTER the pool locks because RankBatch's region owner holds
   /// region_mutex_ while its chunks score (each chunk locks exactly one

@@ -24,15 +24,6 @@ namespace pathrank {
 /// Number of worker threads the pool runs with (>= 1).
 size_t GetNumThreads();
 
-/// True when the calling thread is executing inside a parallel region (a
-/// pool worker or a region's caller) or under a SerialRegionScope — i.e.
-/// when ParallelFor / ParallelForShards called from this thread would run
-/// serially inline instead of dispatching to the pool. Lets callers that
-/// hold locks decide whether blocking on the pool is safe (the serving
-/// engine's coalesced scoring path uses this to pick between pool-parallel
-/// and serial kernels).
-bool InParallelRegion();
-
 /// Resizes the global pool. n == 0 means "hardware concurrency".
 /// Safe to call between parallel regions; not from inside one.
 void SetNumThreads(size_t n);

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <fstream>
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
 
 #include "nn/serialize.h"
@@ -98,9 +99,26 @@ std::unique_ptr<PathRankModel> LoadModel(const std::string& path) {
   PathRankConfig cfg;
   cfg.embedding_dim = Get64(in);
   cfg.hidden_size = Get64(in);
-  cfg.cell = static_cast<nn::CellType>(Get32(in));
+  if (cfg.embedding_dim == 0 || cfg.hidden_size == 0) {
+    throw std::runtime_error("corrupt model header (zero dimension) in " +
+                             path);
+  }
+  // Enum words are range-checked before the cast: an out-of-range cell
+  // would build no recurrent layer at all, and an out-of-range pooling
+  // would silently serve as final-state pooling.
+  const uint32_t cell = Get32(in);
+  if (cell > static_cast<uint32_t>(nn::CellType::kLstm)) {
+    throw std::runtime_error("corrupt model header (cell type " +
+                             std::to_string(cell) + ") in " + path);
+  }
+  cfg.cell = static_cast<nn::CellType>(cell);
   cfg.bidirectional = Get32(in) != 0;
-  cfg.pooling = static_cast<Pooling>(Get32(in));
+  const uint32_t pooling = Get32(in);
+  if (pooling > static_cast<uint32_t>(Pooling::kMean)) {
+    throw std::runtime_error("corrupt model header (pooling " +
+                             std::to_string(pooling) + ") in " + path);
+  }
+  cfg.pooling = static_cast<Pooling>(pooling);
   cfg.finetune_embedding = Get32(in) != 0;
   cfg.multi_task = Get32(in) != 0;
   cfg.aux_loss_weight = GetF64(in);

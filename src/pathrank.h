@@ -41,8 +41,6 @@
 #include "routing/dijkstra.h"  // IWYU pragma: export
 #include "routing/diversified.h"        // IWYU pragma: export
 #include "routing/yen.h"       // IWYU pragma: export
-#include "serving/batching_queue.h"     // IWYU pragma: export
 #include "serving/model_snapshot.h"     // IWYU pragma: export
 #include "serving/serving_engine.h"     // IWYU pragma: export
-#include "serving/sharded_engine.h"     // IWYU pragma: export
 #include "traj/trajectory_generator.h"  // IWYU pragma: export

@@ -29,15 +29,6 @@ SearchResult DijkstraEngine::FindPath(VertexId source, VertexId target,
                   cancel);
 }
 
-SearchResult BidirectionalDijkstraEngine::FindPath(VertexId source,
-                                                   VertexId target,
-                                                   const EdgeCostFn& cost,
-                                                   const BanSet* bans,
-                                                   const CancelToken* cancel) {
-  return Classify(bidi_.ShortestPath(source, target, cost, bans, cancel),
-                  cancel);
-}
-
 SearchResult AStarEngine::FindPath(VertexId source, VertexId target,
                                    const EdgeCostFn& cost, const BanSet* bans,
                                    const CancelToken* cancel) {

@@ -1,10 +1,9 @@
 // The pluggable point-to-point shortest-path seam.
 //
-// Every concrete router in this directory (Dijkstra, A*, bidirectional
-// Dijkstra, ALT) historically had its own ad-hoc constructor/query shape,
-// so no caller could swap search strategies — YenEnumerator hard-coded a
-// Dijkstra member. ShortestPathEngine is the one query contract they all
-// adapt to:
+// Every concrete router in this directory (Dijkstra, A*, ALT) historically
+// had its own ad-hoc constructor/query shape, so no caller could swap
+// search strategies — YenEnumerator hard-coded a Dijkstra member.
+// ShortestPathEngine is the one query contract they all adapt to:
 //
 //   FindPath(source, target, cost, bans, cancel) -> SearchResult
 //
@@ -32,7 +31,6 @@
 #include "routing/alt.h"
 #include "routing/astar.h"
 #include "routing/ban_set.h"
-#include "routing/bidirectional_dijkstra.h"
 #include "routing/cost_model.h"
 #include "routing/dijkstra.h"
 #include "routing/path.h"
@@ -86,8 +84,8 @@ class ShortestPathEngine {
                                 const EdgeCostFn& cost, const BanSet* bans,
                                 const CancelToken* cancel) = 0;
 
-  /// Stable lower_snake_case engine name ("dijkstra", "bidirectional",
-  /// "astar", "alt") — surfaced as the /v1/route "algo" field.
+  /// Stable lower_snake_case engine name ("dijkstra", "astar", "alt") —
+  /// surfaced as the /v1/route "algo" field.
   virtual const char* name() const = 0;
 
   /// Vertices settled by the last FindPath (diagnostics/benchmarks).
@@ -110,25 +108,6 @@ class DijkstraEngine final : public ShortestPathEngine {
 
  private:
   Dijkstra dijkstra_;
-};
-
-/// Bidirectional Dijkstra: meets in the middle, settling roughly half the
-/// vertices of the unidirectional search on long queries.
-class BidirectionalDijkstraEngine final : public ShortestPathEngine {
- public:
-  explicit BidirectionalDijkstraEngine(const RoadNetwork& network)
-      : bidi_(network) {}
-
-  SearchResult FindPath(VertexId source, VertexId target,
-                        const EdgeCostFn& cost, const BanSet* bans,
-                        const CancelToken* cancel) override;
-  const char* name() const override { return "bidirectional"; }
-  size_t last_settled_count() const override {
-    return bidi_.last_settled_count();
-  }
-
- private:
-  BidirectionalDijkstra bidi_;
 };
 
 /// A* with the geometric (great-circle) heuristic. Exact for the length

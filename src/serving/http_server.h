@@ -1,9 +1,8 @@
 // HTTP/1.1 front end for the serving stack — the network layer over
-// ServingEngine / ShardedEngine / BatchingQueue. Dependency-free: POSIX
-// sockets, an accept loop, and a fixed pool of connection worker threads
-// (plain threads, NEVER the global compute pool — workers block on
-// sockets and on BatchingQueue futures, both of which are forbidden on
-// pool workers).
+// ServingEngine and RoutePlanner. Dependency-free: POSIX sockets, an
+// accept loop, and a fixed pool of connection worker threads (plain
+// threads, NEVER the global compute pool — workers block on sockets,
+// which is forbidden on pool workers).
 //
 // Endpoints (JSON over HTTP/1.1, keep-alive supported):
 //   POST /v1/rank    {"source": id, "destination": id}
@@ -152,9 +151,9 @@ struct HttpServerStats {
 };
 
 /// What the server serves. Thin std::function seams rather than a fixed
-/// engine type, so one HttpServer front-ends a bare ServingEngine, a
-/// ShardedEngine, or a BatchingQueue (futures resolved inside `rank`) —
-/// exactly the compositions `pathrank_cli serve` offers.
+/// engine type, so the server depends only on the call shapes and tests
+/// can stub any of them; `pathrank_cli serve` binds them to one
+/// ServingEngine, RoutePlanner and GraphStore.
 struct HttpBackend {
   /// Required: POST /v1/rank. May throw; the server answers 500.
   std::function<std::vector<ScoredPath>(graph::VertexId source,

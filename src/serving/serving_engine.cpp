@@ -7,6 +7,9 @@
 
 namespace pathrank::serving {
 
+namespace {
+
+/// Encodes one candidate path's vertex ids as the model's token sequence.
 std::vector<int32_t> PathToSequence(const routing::Path& path) {
   std::vector<int32_t> seq;
   seq.reserve(path.vertices.size());
@@ -16,16 +19,23 @@ std::vector<int32_t> PathToSequence(const routing::Path& path) {
   return seq;
 }
 
+nn::SequenceBatch BatchFromPaths(const std::vector<routing::Path>& paths) {
+  std::vector<std::vector<int32_t>> seqs;
+  seqs.reserve(paths.size());
+  for (const auto& p : paths) {
+    seqs.push_back(PathToSequence(p));
+  }
+  return nn::SequenceBatch::FromSequences(seqs);
+}
+
+/// Pairs paths[i] with scores[i] and sorts descending.
 std::vector<ScoredPath> AssembleRanking(std::vector<routing::Path> paths,
-                                        const std::vector<float>& scores,
-                                        size_t offset) {
-  PR_CHECK(offset + paths.size() <= scores.size())
-      << "score slice out of range";
+                                        const std::vector<float>& scores) {
+  PR_CHECK(paths.size() == scores.size()) << "one score per path";
   std::vector<ScoredPath> scored;
   scored.reserve(paths.size());
   for (size_t i = 0; i < paths.size(); ++i) {
-    scored.push_back(
-        {std::move(paths[i]), static_cast<double>(scores[offset + i])});
+    scored.push_back({std::move(paths[i]), static_cast<double>(scores[i])});
   }
   // Determinism note: exact float scores make ties sort identically for
   // identical inputs, so the order is reproducible despite std::sort
@@ -35,17 +45,6 @@ std::vector<ScoredPath> AssembleRanking(std::vector<routing::Path> paths,
               return a.score > b.score;
             });
   return scored;
-}
-
-namespace {
-
-nn::SequenceBatch BatchFromPaths(const std::vector<routing::Path>& paths) {
-  std::vector<std::vector<int32_t>> seqs;
-  seqs.reserve(paths.size());
-  for (const auto& p : paths) {
-    seqs.push_back(PathToSequence(p));
-  }
-  return nn::SequenceBatch::FromSequences(seqs);
 }
 
 }  // namespace
@@ -64,13 +63,10 @@ std::vector<routing::Path> GenerateCandidates(
 /// const inference path writes into. No parameters live here — every
 /// replica scores against the one shared snapshot.
 struct ServingEngine::Replica {
-  /// Round-robin replicas share kEngineReplica (a caller holds exactly
-  /// one); the coalescing replica gets kEngineBatchReplica because its
-  /// holder — and only its holder — may dispatch a pool region, so it
-  /// must rank BEFORE pool.region while the round-robin locks rank after
-  /// (RankBatch chunks take them under the region owner's pool.region).
-  Replica(int rank, const char* name) : mu(rank, name) {}
-  common::Mutex mu;
+  /// Replicas share kEngineReplica (a caller holds exactly one), which
+  /// ranks after pool.region: RankBatch chunks take them under the region
+  /// owner's pool.region.
+  common::Mutex mu{common::LockRank::kEngineReplica, "engine.replica"};
   core::InferenceScratch scratch GUARDED_BY(mu);
 };
 
@@ -87,7 +83,7 @@ ServingEngine::ServingEngine(const graph::RoadNetwork& network,
   // if an inference call's ParallelFor were also the process's FIRST pool
   // use, the lazy ThreadPool::Global() constructor would acquire
   // pool.region under engine.replica — a rank inversion (and the one
-  // pool-under-replica path the SerialRegionScope in ScoreOn cannot
+  // pool-under-replica path the SerialRegionScope in ScoreSequences cannot
   // prevent). Engine construction is the one point that can guarantee a
   // lock-free context before any replica lock exists.
   const size_t pool_threads = std::max<size_t>(1, GetNumThreads());
@@ -95,11 +91,8 @@ ServingEngine::ServingEngine(const graph::RoadNetwork& network,
       options_.num_replicas > 0 ? options_.num_replicas : pool_threads;
   replicas_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    replicas_.push_back(std::make_unique<Replica>(
-        common::LockRank::kEngineReplica, "engine.replica"));
+    replicas_.push_back(std::make_unique<Replica>());
   }
-  batch_replica_ = std::make_unique<Replica>(
-      common::LockRank::kEngineBatchReplica, "engine.batch_replica");
 }
 
 ServingEngine::ServingEngine(const graph::RoadNetwork& network,
@@ -123,8 +116,11 @@ std::shared_ptr<const ModelSnapshot> ServingEngine::SwapSnapshot(
   return next;
 }
 
-std::vector<float> ServingEngine::ScoreOn(
-    const ModelSnapshot& snap, const nn::SequenceBatch& batch) const {
+std::vector<float> ServingEngine::ScoreSequences(
+    const nn::SequenceBatch& batch) const {
+  // Capture once: the whole batch scores on one snapshot even if a swap
+  // lands mid-call.
+  const auto snap = shared_snapshot();
   // cuBERT-style dispatch: round-robin over the pool, blocking on the
   // chosen replica's lock. Scratch contents never influence scores, so the
   // choice only affects contention, not results.
@@ -138,37 +134,7 @@ std::vector<float> ServingEngine::ScoreOn(
   // must never block on the global pool — a pool worker could be waiting
   // on this very lock.
   SerialRegionScope serial;
-  return snap.model().ForwardInference(batch, &replica.scratch);
-}
-
-std::vector<float> ServingEngine::ScoreSequences(
-    const nn::SequenceBatch& batch) const {
-  // Capture once: the whole batch scores on one snapshot even if a swap
-  // lands mid-call.
-  const auto snap = shared_snapshot();
-  return ScoreOn(*snap, batch);
-}
-
-std::vector<float> ServingEngine::ScoreCoalesced(
-    const nn::SequenceBatch& batch,
-    std::shared_ptr<const ModelSnapshot>* used) const {
-  const auto snap = shared_snapshot();
-  if (used != nullptr) *used = snap;
-  if (InParallelRegion()) {
-    // Already inside a pool region (or a SerialRegionScope): the kernels
-    // would run serially anyway, and blocking on the dedicated replica's
-    // lock from a pool worker could deadlock against a holder that is
-    // blocked on this very region. Use the ordinary serial path instead.
-    return ScoreOn(*snap, batch);
-  }
-  // Dedicated replica, kernels free to shard over the pool: a coalesced
-  // batch is the one serving call big enough for intra-batch parallelism
-  // to pay. Deadlock-free because only ScoreCoalesced callers ever take
-  // this lock and none of them is a pool worker (guarded above), so no
-  // pool region can be waiting on it. Bitwise identical to the serial
-  // path: the GEMM kernels are thread-count stable (docs/performance.md).
-  common::MutexLock lock(batch_replica_->mu);
-  return snap->model().ForwardInference(batch, &batch_replica_->scratch);
+  return snap->model().ForwardInference(batch, &replica.scratch);
 }
 
 std::vector<ScoredPath> ServingEngine::Rank(

@@ -5,11 +5,11 @@
 // no parameter copies — so the pool is cheap to size at one replica per
 // expected concurrent caller.
 //
-// Thread-safety contract: Rank / RankBatch / ScoreBatch / ScoreSequences
-// may be called concurrently from any number of threads on one shared
-// engine. Scores are bitwise identical to the single-threaded path for any
-// thread or replica count (the inference kernels are deterministic and
-// replicas share the exact same parameters).
+// Thread-safety contract: Rank / RankBatch / ScoreBatch may be called
+// concurrently from any number of threads on one shared engine. Scores
+// are bitwise identical to the single-threaded path for any thread or
+// replica count (the inference kernels are deterministic and replicas
+// share the exact same parameters).
 //
 // Hot-swap contract: SwapSnapshot atomically replaces the served model.
 // Every scoring call captures the snapshot pointer exactly once at entry,
@@ -65,20 +65,6 @@ std::vector<routing::Path> GenerateCandidates(
     const CancelToken* cancel = nullptr,
     routing::ShortestPathEngine* engine = nullptr);
 
-/// Encodes one candidate path's vertex ids as the model's token sequence.
-/// The single source of truth for the Path -> SequenceBatch-row mapping:
-/// ScoreBatch and the BatchingQueue's coalesced flushes both use it, which
-/// is part of why coalesced scoring is bitwise equal to per-request
-/// scoring.
-std::vector<int32_t> PathToSequence(const routing::Path& path);
-
-/// Pairs paths[i] with scores[offset + i] and sorts descending — the one
-/// ordering rule behind ScoreBatch and the BatchingQueue's per-request
-/// results (the other half of the bitwise-equivalence guarantee).
-std::vector<ScoredPath> AssembleRanking(std::vector<routing::Path> paths,
-                                        const std::vector<float>& scores,
-                                        size_t offset = 0);
-
 /// Replica-pool serving facade. The engine borrows the network (caller
 /// keeps it alive) and shares ownership of the snapshot.
 class ServingEngine {
@@ -119,24 +105,6 @@ class ServingEngine {
   std::vector<ScoredPath> ScoreBatch(
       const std::vector<routing::Path>& paths) const;
 
-  /// Scores a prepared SequenceBatch on the current snapshot, row for row
-  /// (no sorting) — the raw scoring primitive under ScoreBatch. Runs the
-  /// kernels serially on the calling thread (parallelism lives across
-  /// callers). Thread-safe.
-  std::vector<float> ScoreSequences(const nn::SequenceBatch& batch) const;
-
-  /// Scores a coalesced SequenceBatch (many requests' rows in one batch,
-  /// see BatchingQueue) on a dedicated replica. Unlike ScoreSequences the
-  /// kernels may shard over the global pool — safe here because the
-  /// dedicated replica's lock is never taken from a pool worker, and
-  /// bitwise identical because the kernels are thread-count stable. When
-  /// `used` is non-null it receives the snapshot the batch was scored on,
-  /// so every coalesced response is attributable to exactly one snapshot
-  /// even while SwapSnapshot runs. Thread-safe.
-  std::vector<float> ScoreCoalesced(
-      const nn::SequenceBatch& batch,
-      std::shared_ptr<const ModelSnapshot>* used = nullptr) const;
-
   /// Atomically replaces the served snapshot and returns the previous one.
   /// In-flight requests finish on the snapshot they captured at entry; new
   /// requests score on `next`. The old snapshot is destroyed when its last
@@ -163,10 +131,11 @@ class ServingEngine {
  private:
   struct Replica;
 
-  /// Round-robin pick + lock, then score `batch` on `snap` with the
-  /// replica's scratch, serially on the calling thread.
-  std::vector<float> ScoreOn(const ModelSnapshot& snap,
-                             const nn::SequenceBatch& batch) const;
+  /// Scores a prepared SequenceBatch on the current snapshot, row for row
+  /// (no sorting) — the raw scoring primitive under ScoreBatch. Runs the
+  /// kernels serially on the calling thread (parallelism lives across
+  /// callers).
+  std::vector<float> ScoreSequences(const nn::SequenceBatch& batch) const;
 
   const graph::RoadNetwork* network_;
   /// Guarded by a mutex rather than std::atomic<shared_ptr>: the critical
@@ -174,17 +143,13 @@ class ServingEngine {
   /// libstdc++'s lock-bit _Sp_atomic protocol is opaque to TSan, which
   /// the CI thread-sanitizer gate runs against. Never held while taking
   /// a replica lock (the snapshot handle is copied out first), hence the
-  /// rank before both replica families.
+  /// rank before the replicas.
   mutable common::Mutex snapshot_mu_{common::LockRank::kEngineSnapshot,
                                      "engine.snapshot"};
   std::shared_ptr<const ModelSnapshot> snapshot_ GUARDED_BY(snapshot_mu_);
   std::atomic<uint64_t> swap_count_{0};
   ServingOptions options_;
   std::vector<std::unique_ptr<Replica>> replicas_;
-  /// Reserved for ScoreCoalesced: never in the round-robin rotation, so no
-  /// pool worker can ever hold or wait on its lock — which is what makes
-  /// it safe for its holder to block on the pool.
-  std::unique_ptr<Replica> batch_replica_;
   mutable std::atomic<uint32_t> round_robin_{0};
 };
 

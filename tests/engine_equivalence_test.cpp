@@ -1,5 +1,5 @@
 // Engine-equivalence suite for the pluggable shortest-path seam: every
-// ShortestPathEngine adapter (dijkstra, bidirectional, astar, alt) must
+// ShortestPathEngine adapter (dijkstra, astar, alt) must
 // be EXACT, so (1) point-to-point answers agree bitwise across engines
 // on randomized synthetic networks, with and without BanSet bans,
 // (2) Yen candidate sets produced through any engine are bitwise
@@ -44,13 +44,12 @@ graph::RoadNetwork SmallSynthetic(uint64_t seed) {
   return graph::BuildSyntheticNetwork(config);
 }
 
-/// All four adapters over one network + shared ALT tables.
+/// All three adapters over one network + shared ALT tables.
 struct EngineSet {
   const graph::RoadNetwork& network;
   EdgeCostFn cost;
   std::shared_ptr<const PreprocessedGraph> tables;
   DijkstraEngine dijkstra;
-  BidirectionalDijkstraEngine bidi;
   AStarEngine astar;
   AltEngine alt;
 
@@ -60,12 +59,11 @@ struct EngineSet {
         tables(std::make_shared<const PreprocessedGraph>(net, cost,
                                                          /*num_landmarks=*/6)),
         dijkstra(net),
-        bidi(net),
         astar(net),
         alt(net, cost, tables) {}
 
   std::vector<ShortestPathEngine*> all() {
-    return {&dijkstra, &bidi, &astar, &alt};
+    return {&dijkstra, &astar, &alt};
   }
 };
 

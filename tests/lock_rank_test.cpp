@@ -38,9 +38,8 @@ TEST(LockRankRegistry, RanksAreStrictlyIncreasingInTableOrder) {
       LockRank::kHttpAdmit,         LockRank::kGraphRebuild,
       LockRank::kGraphStore,        LockRank::kRouteFlightTable,
       LockRank::kRouteFlight,       LockRank::kRouteCache,
-      LockRank::kBatchingQueue,     LockRank::kEngineSnapshot,
-      LockRank::kEngineBatchReplica, LockRank::kPoolRegion,
-      LockRank::kPoolState,         LockRank::kPoolError,
+      LockRank::kPoolRegion,        LockRank::kPoolState,
+      LockRank::kPoolError,         LockRank::kEngineSnapshot,
       LockRank::kEngineReplica,     LockRank::kHttpEndpointStats,
       LockRank::kStderrLog,
   };

@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 
 #include "core/model.h"
 #include "core/model_io.h"
@@ -86,6 +87,38 @@ TEST(ModelIo, RejectsGarbage) {
   }
   EXPECT_THROW(LoadModel(path), std::runtime_error);
   std::remove(path.c_str());
+}
+
+/// Saves a valid checkpoint, overwrites the 32-bit little-endian header
+/// word at `offset`, and expects LoadModel to reject the file cleanly.
+void ExpectCorruptHeaderWordRejected(size_t offset, uint32_t value) {
+  const std::string path = TempPath("pr_model_corrupt.bin");
+  SaveModel(PathRankModel(16, SmallConfig()), path);
+  {
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(static_cast<std::streamoff>(offset));
+    f.write(reinterpret_cast<const char*>(&value), sizeof(value));
+  }
+  EXPECT_THROW(LoadModel(path), std::runtime_error)
+      << "offset " << offset << " value " << value;
+  std::remove(path.c_str());
+}
+
+// Header layout: magic @0, version @4, vocab @8, embedding_dim @16,
+// hidden_size @24, cell @32, bidirectional @36, pooling @40.
+TEST(ModelIo, RejectsOutOfRangeCellType) {
+  // Used to build no recurrent layer and segfault on first use.
+  ExpectCorruptHeaderWordRejected(32, 0x03);
+}
+
+TEST(ModelIo, RejectsOutOfRangePooling) {
+  // Used to load silently and serve with final-state pooling.
+  ExpectCorruptHeaderWordRejected(40, 0x07);
+}
+
+TEST(ModelIo, RejectsZeroDimensions) {
+  ExpectCorruptHeaderWordRejected(16, 0);  // embedding_dim (low word)
+  ExpectCorruptHeaderWordRejected(24, 0);  // hidden_size (low word)
 }
 
 TEST(MultiTask, AuxOutputsPresentAndBounded) {

@@ -4,7 +4,8 @@
 // hit returns bitwise-identical results (and byte-identical HTTP bodies
 // modulo the cache_hit flag), (3) the LRU evicts and touches correctly,
 // (4) the error taxonomy (unknown vertex, s == d, unreachable, bad k)
-// maps to 4xx over HTTP with stable status slugs.
+// maps to 4xx over HTTP with stable status slugs, (5) the --spur-engine
+// vocabulary is exactly "dijkstra" and "alt".
 #include <gtest/gtest.h>
 
 #include <string>
@@ -202,6 +203,25 @@ TEST(RoutePlanner, ConfiguredDefaultKIsExemptFromMaxK) {
       });
   EXPECT_EQ(planner.Plan({0, 63}).status, RouteStatus::kOk);
   EXPECT_EQ(planner.Plan({0, 63, 70}).status, RouteStatus::kBadRequest);
+}
+
+TEST(RoutePlanner, SpurEngineVocabularyIsDijkstraAndAlt) {
+  for (const SpurEngine engine : {SpurEngine::kDijkstra, SpurEngine::kAlt}) {
+    SpurEngine parsed = engine == SpurEngine::kAlt ? SpurEngine::kDijkstra
+                                                   : SpurEngine::kAlt;
+    ASSERT_TRUE(ParseSpurEngine(SpurEngineName(engine), &parsed))
+        << SpurEngineName(engine);
+    EXPECT_EQ(parsed, engine);
+  }
+  EXPECT_STREQ(SpurEngineName(SpurEngine::kDijkstra), "dijkstra");
+  EXPECT_STREQ(SpurEngineName(SpurEngine::kAlt), "alt");
+
+  // Rejected names leave the output untouched.
+  for (const char* name : {"bidi", "bidirectional", "", "ALT"}) {
+    SpurEngine out = SpurEngine::kAlt;
+    EXPECT_FALSE(ParseSpurEngine(name, &out)) << "'" << name << "'";
+    EXPECT_EQ(out, SpurEngine::kAlt) << "'" << name << "'";
+  }
 }
 
 TEST(RoutePlanner, UnreachablePairReportedAndNegativelyCached) {

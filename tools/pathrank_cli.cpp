@@ -10,25 +10,20 @@
 //   pathrank_cli rank     --network net --model model.bin --from 12 --to 245
 //   pathrank_cli serve    --network net --model model.bin --num-queries 128
 //                         --threads 4 --repeat 3
-//                         [--batch 1 --clients 8] [--shards 4]
 //                         [--watch-model 1] [--http 8080]
 //
 // `serve` drives the serving stack with a batch of queries (from --queries
 // CSV of "source,destination" lines, or sampled randomly) and reports
-// per-query latency percentiles and QPS. `--batch 1` coalesces requests
-// through a BatchingQueue (closed-loop `--clients` submitters), `--shards
-// N` partitions traffic across N engines (`--shard-policy hash|rr`), and
-// `--watch-model 1` polls the model checkpoint and hot-swaps the served
-// snapshot whenever the file changes — all three without restarting the
-// process.
+// per-query latency percentiles and QPS. `--watch-model 1` polls the model
+// checkpoint and hot-swaps the served snapshot whenever the file changes,
+// without restarting the process.
 //
 // `serve --http PORT` skips the self-drive and instead exposes the same
 // stack over HTTP/1.1 (POST /v1/rank, POST /v1/score, POST /v1/route,
 // POST /v1/traffic, GET /healthz, GET /statsz) until SIGINT/SIGTERM,
 // with admission control in front of the engine (--max-inflight,
 // --max-queue-wait-us; overload answers 429 + Retry-After). It composes
-// with --batch (requests coalesce through the BatchingQueue), --shards
-// and --watch-model, so hot swap and sharding work over the wire.
+// with --watch-model, so hot swap works over the wire.
 // /v1/route is the full online pipeline (candidate enumeration + LRU
 // candidate cache + scoring, see serving::RoutePlanner); --route-cache N
 // sizes the cache. The route pipeline serves a live graph behind a
@@ -65,12 +60,10 @@
 #include "core/model_io.h"
 #include "pathrank.h"
 #include "graph/graph_io.h"
-#include "serving/batching_queue.h"
 #include "serving/fault_injector.h"
 #include "serving/graph_store.h"
 #include "serving/http_server.h"
 #include "serving/route_planner.h"
-#include "serving/sharded_engine.h"
 #include "traj/trip_io.h"
 
 namespace {
@@ -355,18 +348,9 @@ std::vector<serving::RankQuery> SampleQueries(
   return queries;
 }
 
-serving::ShardPolicy ParseShardPolicy(const std::string& name) {
-  if (name == "hash") return serving::ShardPolicy::kHash;
-  if (name == "rr" || name == "roundrobin") {
-    return serving::ShardPolicy::kRoundRobin;
-  }
-  std::fprintf(stderr, "unknown shard policy: %s (hash|rr)\n", name.c_str());
-  std::exit(2);
-}
-
 /// Polls a model checkpoint's mtime and hot-swaps the served snapshot when
 /// the file changes — the `serve --watch-model` reload path. The swap
-/// itself is one atomic pointer exchange inside the engine(s); in-flight
+/// itself is one atomic pointer exchange inside the engine; in-flight
 /// requests finish on the snapshot they started with.
 class ModelWatcher {
  public:
@@ -552,13 +536,9 @@ std::atomic<bool> g_http_interrupted{false};
 void OnHttpSignal(int /*signum*/) { g_http_interrupted.store(true); }
 
 /// `serve --http PORT`: serves the engine stack over HTTP until a signal
-/// arrives, then reports the traffic counters. The backend seams route
-/// through whichever composition the flags built — sharded, coalescing
-/// queue, or bare engine.
+/// arrives, then reports the traffic counters.
 int RunHttpFrontEnd(const Args& args, const graph::RoadNetwork& network,
                     serving::ServingEngine* engine,
-                    serving::ShardedEngine* sharded,
-                    serving::BatchingQueue* queue,
                     const ModelWatcher* watcher) {
   serving::HttpServerOptions options;
   options.bind_address = args.Get("http-addr", "0.0.0.0");
@@ -592,39 +572,13 @@ int RunHttpFrontEnd(const Args& args, const graph::RoadNetwork& network,
 
   serving::HttpBackend backend;
   backend.num_vertices = network.num_vertices();
-  if (sharded != nullptr) {
-    backend.rank = [sharded](graph::VertexId s, graph::VertexId d) {
-      return sharded->Rank(s, d);
-    };
-    backend.score = [sharded](std::vector<routing::Path> paths) {
-      return sharded->ScoreBatch(paths);
-    };
-    backend.swap_count = [sharded] {
-      uint64_t total = 0;
-      for (size_t i = 0; i < sharded->num_shards(); ++i) {
-        total += sharded->shard(i).swap_count();
-      }
-      return total;
-    };
-  } else if (queue != nullptr) {
-    // HTTP workers are plain threads, so blocking on queue futures here
-    // is the supported submit-and-wait pattern (batching_queue.h).
-    backend.rank = [queue](graph::VertexId s, graph::VertexId d) {
-      return queue->SubmitRank(s, d).get();
-    };
-    backend.score = [queue](std::vector<routing::Path> paths) {
-      return queue->SubmitScore(std::move(paths)).get();
-    };
-    backend.swap_count = [engine] { return engine->swap_count(); };
-  } else {
-    backend.rank = [engine](graph::VertexId s, graph::VertexId d) {
-      return engine->Rank(s, d);
-    };
-    backend.score = [engine](std::vector<routing::Path> paths) {
-      return engine->ScoreBatch(paths);
-    };
-    backend.swap_count = [engine] { return engine->swap_count(); };
-  }
+  backend.rank = [engine](graph::VertexId s, graph::VertexId d) {
+    return engine->Rank(s, d);
+  };
+  backend.score = [engine](std::vector<routing::Path> paths) {
+    return engine->ScoreBatch(paths);
+  };
+  backend.swap_count = [engine] { return engine->swap_count(); };
 
   // --fault-spec: deterministic chaos at the backend seams (sites
   // "rank", "score", "route"), for drills and for reproducing what
@@ -670,8 +624,7 @@ int RunHttpFrontEnd(const Args& args, const graph::RoadNetwork& network,
   serving::SpurEngine spur_engine = serving::SpurEngine::kDijkstra;
   const std::string spur_name = args.Get("spur-engine", "dijkstra");
   if (!serving::ParseSpurEngine(spur_name, &spur_engine)) {
-    std::fprintf(stderr,
-                 "--spur-engine must be dijkstra, bidi, or alt (got %s)\n",
+    std::fprintf(stderr, "--spur-engine must be dijkstra or alt (got %s)\n",
                  spur_name.c_str());
     return 2;
   }
@@ -689,8 +642,8 @@ int RunHttpFrontEnd(const Args& args, const graph::RoadNetwork& network,
 
   // The online route pipeline behind POST /v1/route: candidate
   // enumeration + LRU candidate cache + scoring through the SAME seam
-  // backend.score uses, so /v1/route composes with --batch and --shards
-  // for free. Built over the GraphStore: each query captures the current
+  // backend.score uses, so injected scoring faults reach it too. Built
+  // over the GraphStore: each query captures the current
   // snapshot (and, for ALT, the preprocessing artifact) once, and cached
   // candidate sets invalidate when the epoch moves on.
   serving::RoutePlannerConfig route_config;
@@ -753,12 +706,10 @@ int RunHttpFrontEnd(const Args& args, const graph::RoadNetwork& network,
                   ? StrFormat(" (%d landmarks)", num_landmarks).c_str()
                   : "");
   std::printf("HTTP serving on %s:%u  (threads=%zu, max_inflight=%zu, "
-              "max_queue_wait_us=%lld%s%s%s%s)\n",
+              "max_queue_wait_us=%lld%s%s)\n",
               options.bind_address.c_str(), server.port(),
               server.options().num_threads, options.max_inflight,
               static_cast<long long>(options.max_queue_wait_us),
-              queue != nullptr ? ", batched" : "",
-              sharded != nullptr ? ", sharded" : "",
               watcher != nullptr ? ", watch-model" : "",
               graph_watcher != nullptr ? ", watch-graph" : "");
   std::printf("timeouts: idle %d s, request %d s; route budget: default %lld "
@@ -843,9 +794,9 @@ int RunHttpFrontEnd(const Args& args, const graph::RoadNetwork& network,
   return 0;
 }
 
-/// Sorts `latency` and prints the wall-clock / QPS / percentile report
-/// shared by the serve drive modes. PercentileSorted keeps the quantile
-/// convention identical to the gated bench metrics.
+/// Sorts `latency` and prints the serve self-drive's wall-clock / QPS /
+/// percentile report. PercentileSorted keeps the quantile convention
+/// identical to the gated bench metrics.
 void ReportServeStats(std::vector<double>& latency, double wall_s,
                       size_t candidates_served) {
   std::sort(latency.begin(), latency.end());
@@ -897,18 +848,6 @@ int CmdServe(const Args& args) {
     std::fprintf(stderr, "--replicas must be >= 0 (0 = one per thread)\n");
     return 2;
   }
-  const int shards = args.GetInt("shards", 0);
-  if (shards < 0) {
-    std::fprintf(stderr, "--shards must be >= 0 (0 = unsharded)\n");
-    return 2;
-  }
-  const bool batch = args.GetInt("batch", 0) != 0;
-  if (batch && shards > 0) {
-    std::fprintf(stderr,
-                 "--batch coalesces onto one engine; combine with --shards "
-                 "by running one queue per shard in library code\n");
-    return 2;
-  }
 
   serving::ServingOptions options;
   options.num_replicas = static_cast<size_t>(replicas);
@@ -916,46 +855,14 @@ int CmdServe(const Args& args) {
   const auto snapshot = serving::ModelSnapshot::Capture(*model);
   model.reset();  // the snapshot owns its own copy of the parameters
 
-  // One of the two is live; both expose Rank + SwapSnapshot.
-  std::unique_ptr<serving::ServingEngine> engine;
-  std::unique_ptr<serving::ShardedEngine> sharded;
-  if (shards > 0) {
-    serving::ShardedOptions shard_options;
-    shard_options.num_shards = static_cast<size_t>(shards);
-    shard_options.policy = ParseShardPolicy(args.Get("shard-policy", "hash"));
-    shard_options.engine_options = options;
-    sharded = std::make_unique<serving::ShardedEngine>(network, snapshot,
-                                                       shard_options);
-  } else {
-    engine =
-        std::make_unique<serving::ServingEngine>(network, snapshot, options);
-  }
-  auto rank = [&](const serving::RankQuery& q) {
-    return sharded ? sharded->Rank(q.source, q.destination)
-                   : engine->Rank(q.source, q.destination);
-  };
-
-  // The coalescing front end, shared by the HTTP server and the
-  // closed-loop drive below.
-  std::unique_ptr<serving::BatchingQueue> queue;
-  if (batch) {
-    serving::BatchingOptions batch_options;
-    batch_options.max_batch =
-        static_cast<size_t>(std::max(1, args.GetInt("max-batch", 64)));
-    batch_options.max_wait_us = std::max(0, args.GetInt("max-wait-us", 200));
-    queue = std::make_unique<serving::BatchingQueue>(*engine, batch_options);
-  }
+  serving::ServingEngine engine(network, snapshot, options);
 
   std::unique_ptr<ModelWatcher> watcher;
   if (args.GetInt("watch-model", 0) != 0) {
     watcher = std::make_unique<ModelWatcher>(
         args.Require("model"), network,
         [&](std::shared_ptr<const serving::ModelSnapshot> next) {
-          if (sharded) {
-            sharded->SwapSnapshot(std::move(next));
-          } else {
-            engine->SwapSnapshot(std::move(next));
-          }
+          engine.SwapSnapshot(std::move(next));
         },
         std::max(1, args.GetInt("watch-interval-ms", 200)));
   }
@@ -964,8 +871,7 @@ int CmdServe(const Args& args) {
   // needed; traffic arrives over the wire). Self-drive-only flags are an
   // error here, not a silent no-op — same rule RejectUnknown enforces.
   if (args.Has("http")) {
-    for (const char* flag : {"queries", "num-queries", "clients", "repeat",
-                             "seed"}) {
+    for (const char* flag : {"queries", "num-queries", "repeat", "seed"}) {
       if (args.Has(flag)) {
         std::fprintf(stderr,
                      "--%s drives the self-serve benchmark and has no "
@@ -974,8 +880,7 @@ int CmdServe(const Args& args) {
         return 2;
       }
     }
-    return RunHttpFrontEnd(args, network, engine.get(), sharded.get(),
-                           queue.get(), watcher.get());
+    return RunHttpFrontEnd(args, network, &engine, watcher.get());
   }
   // Symmetric rule: HTTP-only flags without --http are an error too —
   // the self-drive has no admission control, and no /v1/route planner
@@ -1009,77 +914,27 @@ int CmdServe(const Args& args) {
 
   // Warm-up (pool spin-up, scratch allocation, cache warming).
   for (size_t q = 0; q < std::min<size_t>(queries.size(), 4); ++q) {
-    rank(queries[q]);
+    engine.Rank(queries[q].source, queries[q].destination);
   }
 
   // Per-query latencies land in disjoint slots; workers never share state.
   std::vector<double> latency(total);
   std::vector<size_t> candidate_counts(total, 0);
   Stopwatch wall;
-  double wall_s = 0.0;
-
-  if (batch) {
-    // Closed-loop clients on plain threads (pool workers must never block
-    // on queue futures — see batching_queue.h); the global pool stays
-    // available to the dispatcher's coalesced kernels.
-    const size_t clients = static_cast<size_t>(
-        std::max(1, args.GetInt("clients", static_cast<int>(GetNumThreads()))));
-    std::atomic<size_t> next{0};
-    std::vector<std::thread> workers;
-    workers.reserve(clients);
-    for (size_t c = 0; c < clients; ++c) {
-      workers.emplace_back([&] {
-        for (;;) {
-          const size_t i = next.fetch_add(1);
-          if (i >= total) break;
-          const auto& query = queries[i % queries.size()];
-          Stopwatch per_query;
-          const auto ranked =
-              queue->SubmitRank(query.source, query.destination).get();
-          latency[i] = per_query.ElapsedSeconds();
-          candidate_counts[i] = ranked.size();
-        }
-      });
+  ParallelForShards(0, total, [&](size_t /*shard*/, size_t lo, size_t hi) {
+    for (size_t i = lo; i < hi; ++i) {
+      const auto& query = queries[i % queries.size()];
+      Stopwatch per_query;
+      const auto ranked = engine.Rank(query.source, query.destination);
+      latency[i] = per_query.ElapsedSeconds();
+      candidate_counts[i] = ranked.size();
     }
-    for (auto& w : workers) w.join();
-    wall_s = wall.ElapsedSeconds();
-    std::printf(
-        "served %zu queries (%zu unique x %d) batched via %zu clients: "
-        "%llu flushes, %.1f rows/flush (max-batch %zu, max-wait %lld us)\n",
-        total, queries.size(), repeat, clients,
-        static_cast<unsigned long long>(queue->num_flushes()),
-        queue->num_flushes() > 0
-            ? static_cast<double>(queue->num_rows()) /
-                  static_cast<double>(queue->num_flushes())
-            : 0.0,
-        queue->options().max_batch,
-        static_cast<long long>(queue->options().max_wait_us));
-  } else {
-    ParallelForShards(0, total, [&](size_t /*shard*/, size_t lo, size_t hi) {
-      for (size_t i = lo; i < hi; ++i) {
-        const auto& query = queries[i % queries.size()];
-        Stopwatch per_query;
-        const auto ranked = rank(query);
-        latency[i] = per_query.ElapsedSeconds();
-        candidate_counts[i] = ranked.size();
-      }
-    });
-    wall_s = wall.ElapsedSeconds();
-    if (sharded) {
-      std::printf("served %zu queries (%zu unique x %d) on %zu threads, "
-                  "%zu shards (%s)\n",
-                  total, queries.size(), repeat, GetNumThreads(),
-                  sharded->num_shards(),
-                  sharded->options().policy == serving::ShardPolicy::kHash
-                      ? "hash"
-                      : "rr");
-    } else {
-      std::printf("served %zu queries (%zu unique x %d) on %zu threads, "
-                  "%zu replicas\n",
-                  total, queries.size(), repeat, GetNumThreads(),
-                  engine->num_replicas());
-    }
-  }
+  });
+  const double wall_s = wall.ElapsedSeconds();
+  std::printf("served %zu queries (%zu unique x %d) on %zu threads, "
+              "%zu replicas\n",
+              total, queries.size(), repeat, GetNumThreads(),
+              engine.num_replicas());
 
   size_t candidates_served = 0;
   for (size_t c : candidate_counts) candidates_served += c;
@@ -1108,13 +963,11 @@ void PrintUsage() {
       "            [--queries Q.csv | --num-queries N --seed S]\n"
       "            [--threads T --replicas R --repeat K --strategy ... "
       "--k K --threshold T]\n"
-      "            [--batch 0|1 --max-batch N --max-wait-us U --clients C]\n"
-      "            [--shards N --shard-policy hash|rr]\n"
       "            [--watch-model 0|1 --watch-interval-ms M]\n"
       "            [--http PORT --http-addr A --max-inflight N\n"
       "             --max-queue-wait-us U --http-threads T (0 = auto)\n"
       "             --route-cache N (LRU candidate sets for /v1/route)\n"
-      "             --spur-engine dijkstra|bidi|alt (Yen spur searches)\n"
+      "             --spur-engine dijkstra|alt (Yen spur searches)\n"
       "             --landmarks N (ALT landmark count, default 8)\n"
       "             --watch-graph 0|1 (hot-swap re-exported graphs)\n"
       "             --idle-timeout-s S --request-deadline-s S\n"
@@ -1151,8 +1004,7 @@ int main(int argc, char** argv) {
       {"serve",
        {"network", "graph", "model", "queries", "num-queries", "seed",
         "threads", "replicas", "repeat", "strategy", "k", "threshold",
-        "batch", "max-batch", "max-wait-us", "clients", "shards",
-        "shard-policy", "watch-model", "watch-graph", "watch-interval-ms",
+        "watch-model", "watch-graph", "watch-interval-ms",
         "http", "http-addr", "http-threads", "max-inflight",
         "max-queue-wait-us", "route-cache", "spur-engine", "landmarks",
         "idle-timeout-s", "request-deadline-s", "default-deadline-ms",
