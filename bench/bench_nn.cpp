@@ -47,9 +47,10 @@ void BM_RecurrentForward(benchmark::State& state) {
     x_steps.push_back(RandomMatrix(batch, hidden, rng));
   }
   const std::vector<int32_t> lengths(batch, static_cast<int32_t>(steps));
+  RecurrentScratch scratch;
   Matrix h;
   for (auto _ : state) {
-    cell->Forward(x_steps, lengths, &h);
+    cell->Forward(x_steps, lengths, &scratch, &h);
     benchmark::DoNotOptimize(h.data());
   }
   state.SetItemsProcessed(
@@ -73,9 +74,11 @@ void BM_GruForwardBackward(benchmark::State& state) {
   Matrix h;
   const Matrix d_h = RandomMatrix(batch, hidden, rng);
   std::vector<Matrix> d_x;
+  RecurrentScratch tape;
+  tape.record = true;
   for (auto _ : state) {
-    gru.Forward(x_steps, lengths, &h);
-    gru.Backward(d_h, &d_x);
+    gru.Forward(x_steps, lengths, &tape, &h);
+    gru.Backward(x_steps, lengths, tape, d_h, &d_x);
     benchmark::DoNotOptimize(d_x);
   }
   state.SetItemsProcessed(

@@ -78,7 +78,7 @@ int main() {
 
   // 7. Deployment: capture an immutable snapshot of the trained weights
   // and serve it from a replica-pool engine. Any number of threads could
-  // now call engine.Rank / RankBatch concurrently on this one engine.
+  // now call engine.Rank / ScoreBatch concurrently on this one engine.
   const auto& query_trip = split.test.queries.front();
   serving::ServingOptions serve_opts;
   serve_opts.candidates = gen_cfg;

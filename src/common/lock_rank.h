@@ -88,14 +88,16 @@ struct LockRank {
   // -- leaves ------------------------------------------------------------
   /// ServingEngine::snapshot_mu_ — the served-snapshot slot, held only
   /// for one shared_ptr copy or exchange. Ranked AFTER the pool locks
-  /// because RankBatch's region owner holds region_mutex_ while its
-  /// chunks capture the snapshot, and before the replicas because the
-  /// handle is copied out before a replica lock is taken.
+  /// because a caller that runs Rank inside pool chunks (pathrank_cli
+  /// serve's self-drive) captures the snapshot while the region owner
+  /// holds region_mutex_, and before the replicas because the handle is
+  /// copied out before a replica lock is taken.
   static constexpr int kEngineSnapshot = 145;
   /// ServingEngine round-robin Replica::mu — per-caller scoring scratch.
-  /// Ranked AFTER the pool locks because RankBatch's region owner holds
-  /// region_mutex_ while its chunks score (each chunk locks exactly one
-  /// replica, so all replicas share this rank). The inference under it
+  /// Ranked AFTER the pool locks because pathrank_cli serve's self-drive
+  /// calls Rank inside pool chunks while the region owner holds
+  /// region_mutex_ (each chunk locks exactly one replica at a time, so all
+  /// replicas share this rank). The inference under it
   /// runs serially (SerialRegionScope) — it never re-enters the pool.
   static constexpr int kEngineReplica = 150;
   /// HttpServer::Endpoint::mu — per-endpoint latency/error counters.

@@ -7,19 +7,24 @@
 namespace pathrank::core {
 namespace {
 
-/// pooled[b] = mean over t < len_b of hidden_at(t)[b]; `hidden_at(t)` is
-/// the [B x hidden] state after step t.
-template <typename HiddenAt>
-void MeanPoolImpl(const HiddenAt& hidden_at, size_t hidden,
-                  const std::vector<int32_t>& lengths, size_t num_steps,
-                  nn::Matrix* pooled) {
+/// The heads' output squashing. BackwardFull recomputes each score from
+/// the recorded logit through this same function, so it sees bitwise the
+/// value Forward returned.
+float Sigmoid(float logit) { return 1.0f / (1.0f + std::exp(-logit)); }
+
+/// pooled[b] = mean over t < len_b of h[t + 1][b], the state after step t
+/// in a recurrent scratch.
+void MeanPool(const std::vector<nn::Matrix>& h,
+              const std::vector<int32_t>& lengths, size_t num_steps,
+              nn::Matrix* pooled) {
   const size_t batch = lengths.size();
+  const size_t hidden = h[0].cols();
   pooled->Resize(batch, hidden);
   for (size_t t = 0; t < num_steps; ++t) {
-    const nn::Matrix& h = hidden_at(t);
+    const nn::Matrix& ht = h[t + 1];
     for (size_t b = 0; b < batch; ++b) {
       if (static_cast<int32_t>(t) >= lengths[b]) continue;
-      const float* src = h.row(b);
+      const float* src = ht.row(b);
       float* dst = pooled->row(b);
       for (size_t c = 0; c < hidden; ++c) dst[c] += src[c];
     }
@@ -29,22 +34,6 @@ void MeanPoolImpl(const HiddenAt& hidden_at, size_t hidden,
     float* dst = pooled->row(b);
     for (size_t c = 0; c < hidden; ++c) dst[c] *= inv;
   }
-}
-
-/// Training-path pooling over the cell's cached hidden states.
-void MeanPool(const nn::RecurrentLayer& cell, const std::vector<int32_t>& lengths,
-              size_t num_steps, nn::Matrix* pooled) {
-  MeanPoolImpl([&](size_t t) -> const nn::Matrix& { return cell.hidden_state(t); },
-               cell.hidden_size(), lengths, num_steps, pooled);
-}
-
-/// Inference-path pooling over a RecurrentScratch's hidden states
-/// (h[t + 1] is the state after step t).
-void MeanPoolScratch(const std::vector<nn::Matrix>& h, size_t hidden,
-                     const std::vector<int32_t>& lengths, size_t num_steps,
-                     nn::Matrix* pooled) {
-  MeanPoolImpl([&](size_t t) -> const nn::Matrix& { return h[t + 1]; },
-               hidden, lengths, num_steps, pooled);
 }
 
 /// Expands d(loss)/d(pooled) into per-step hidden-state gradients.
@@ -126,65 +115,11 @@ std::vector<float> PathRankModel::Forward(const nn::SequenceBatch& batch) {
 
 PathRankModel::Outputs PathRankModel::ForwardFull(
     const nn::SequenceBatch& batch) {
-  PR_CHECK(batch.batch_size > 0 && batch.max_len > 0);
-  batch_ = batch;
-  const size_t T = batch.max_len;
-  const size_t B = batch.batch_size;
-  const size_t H = config_.hidden_size;
-
-  if (x_steps_.size() != T) x_steps_.resize(T);
-  for (size_t t = 0; t < T; ++t) {
-    embedding_->Lookup(batch_, t, &x_steps_[t]);
-  }
-  nn::Matrix repr_fwd;
-  fwd_cell_->Forward(x_steps_, batch_.lengths, &repr_fwd);
-  if (config_.pooling == Pooling::kMean) {
-    MeanPool(*fwd_cell_, batch_.lengths, T, &repr_fwd);
-  }
-
-  if (config_.bidirectional) {
-    batch_rev_ = batch_.Reversed();
-    if (x_steps_rev_.size() != T) x_steps_rev_.resize(T);
-    for (size_t t = 0; t < T; ++t) {
-      embedding_->Lookup(batch_rev_, t, &x_steps_rev_[t]);
-    }
-    nn::Matrix repr_bwd;
-    bwd_cell_->Forward(x_steps_rev_, batch_rev_.lengths, &repr_bwd);
-    if (config_.pooling == Pooling::kMean) {
-      MeanPool(*bwd_cell_, batch_rev_.lengths, T, &repr_bwd);
-    }
-
-    concat_h_.ResizeNoZero(B, 2 * H);  // fully overwritten below
-    for (size_t b = 0; b < B; ++b) {
-      float* dst = concat_h_.row(b);
-      std::copy(repr_fwd.row(b), repr_fwd.row(b) + H, dst);
-      std::copy(repr_bwd.row(b), repr_bwd.row(b) + H, dst + H);
-    }
-  } else {
-    concat_h_ = repr_fwd;
-  }
-
-  head_->Forward(concat_h_, &logits_);
-  scores_.resize(B);
-  for (size_t b = 0; b < B; ++b) {
-    scores_[b] = 1.0f / (1.0f + std::exp(-logits_.at(b, 0)));
-  }
-  outputs_.scores = scores_;
-  outputs_.aux_length.clear();
-  outputs_.aux_time.clear();
-  if (config_.multi_task) {
-    aux_length_head_->Forward(concat_h_, &aux_length_logits_);
-    aux_time_head_->Forward(concat_h_, &aux_time_logits_);
-    outputs_.aux_length.resize(B);
-    outputs_.aux_time.resize(B);
-    for (size_t b = 0; b < B; ++b) {
-      outputs_.aux_length[b] =
-          1.0f / (1.0f + std::exp(-aux_length_logits_.at(b, 0)));
-      outputs_.aux_time[b] =
-          1.0f / (1.0f + std::exp(-aux_time_logits_.at(b, 0)));
-    }
-  }
-  return outputs_;
+  // The inference body, run into the tape with per-step gate slots.
+  tape_.batch = batch;
+  tape_.fwd_cell.record = true;
+  tape_.bwd_cell.record = true;
+  return ForwardInferenceFull(tape_.batch, &tape_);
 }
 
 std::vector<float> PathRankModel::ForwardInference(
@@ -200,16 +135,13 @@ PathRankModel::Outputs PathRankModel::ForwardInferenceFull(
   const size_t B = batch.batch_size;
   const size_t H = config_.hidden_size;
 
-  // Mirrors ForwardFull operation for operation (scores must be bitwise
-  // identical), with every activation in the caller's scratch.
   if (s.x_steps.size() != T) s.x_steps.resize(T);
   for (size_t t = 0; t < T; ++t) {
     embedding_->Lookup(batch, t, &s.x_steps[t]);
   }
-  fwd_cell_->ForwardInference(s.x_steps, batch.lengths, &s.fwd_cell,
-                              &s.repr_fwd);
+  fwd_cell_->Forward(s.x_steps, batch.lengths, &s.fwd_cell, &s.repr_fwd);
   if (config_.pooling == Pooling::kMean) {
-    MeanPoolScratch(s.fwd_cell.h, H, batch.lengths, T, &s.repr_fwd);
+    MeanPool(s.fwd_cell.h, batch.lengths, T, &s.repr_fwd);
   }
 
   if (config_.bidirectional) {
@@ -218,10 +150,10 @@ PathRankModel::Outputs PathRankModel::ForwardInferenceFull(
     for (size_t t = 0; t < T; ++t) {
       embedding_->Lookup(s.batch_rev, t, &s.x_steps_rev[t]);
     }
-    bwd_cell_->ForwardInference(s.x_steps_rev, s.batch_rev.lengths,
-                                &s.bwd_cell, &s.repr_bwd);
+    bwd_cell_->Forward(s.x_steps_rev, s.batch_rev.lengths, &s.bwd_cell,
+                       &s.repr_bwd);
     if (config_.pooling == Pooling::kMean) {
-      MeanPoolScratch(s.bwd_cell.h, H, s.batch_rev.lengths, T, &s.repr_bwd);
+      MeanPool(s.bwd_cell.h, s.batch_rev.lengths, T, &s.repr_bwd);
     }
 
     s.concat_h.ResizeNoZero(B, 2 * H);  // fully overwritten below
@@ -234,21 +166,18 @@ PathRankModel::Outputs PathRankModel::ForwardInferenceFull(
     s.concat_h = s.repr_fwd;
   }
 
-  head_->ForwardInference(s.concat_h, &s.logits);
+  head_->Forward(s.concat_h, &s.logits);
   Outputs out;
   out.scores.resize(B);
-  for (size_t b = 0; b < B; ++b) {
-    out.scores[b] = 1.0f / (1.0f + std::exp(-s.logits.at(b, 0)));
-  }
+  for (size_t b = 0; b < B; ++b) out.scores[b] = Sigmoid(s.logits.at(b, 0));
   if (config_.multi_task) {
-    aux_length_head_->ForwardInference(s.concat_h, &s.aux_length_logits);
-    aux_time_head_->ForwardInference(s.concat_h, &s.aux_time_logits);
+    aux_length_head_->Forward(s.concat_h, &s.aux_length_logits);
+    aux_time_head_->Forward(s.concat_h, &s.aux_time_logits);
     out.aux_length.resize(B);
     out.aux_time.resize(B);
     for (size_t b = 0; b < B; ++b) {
-      out.aux_length[b] =
-          1.0f / (1.0f + std::exp(-s.aux_length_logits.at(b, 0)));
-      out.aux_time[b] = 1.0f / (1.0f + std::exp(-s.aux_time_logits.at(b, 0)));
+      out.aux_length[b] = Sigmoid(s.aux_length_logits.at(b, 0));
+      out.aux_time[b] = Sigmoid(s.aux_time_logits.at(b, 0));
     }
   }
   return out;
@@ -261,56 +190,63 @@ void PathRankModel::Backward(const std::vector<float>& d_scores) {
 void PathRankModel::BackwardFull(const std::vector<float>& d_scores,
                                  const std::vector<float>& d_aux_length,
                                  const std::vector<float>& d_aux_time) {
-  const size_t B = batch_.batch_size;
+  const InferenceScratch& tape = tape_;
+  const size_t B = tape.batch.batch_size;
   const size_t H = config_.hidden_size;
-  const size_t T = batch_.max_len;
+  const size_t T = tape.batch.max_len;
   PR_CHECK(d_scores.size() == B) << "gradient batch-size mismatch";
 
-  // Through the sigmoid: dL/dlogit = dL/ds * s * (1 - s).
-  nn::Matrix d_logits(B, 1);
-  for (size_t b = 0; b < B; ++b) {
-    const float s = scores_[b];
-    d_logits.at(b, 0) = d_scores[b] * s * (1.0f - s);
-  }
+  // Through the sigmoid: dL/dlogit = dL/ds * s * (1 - s), with s
+  // recomputed from the recorded logit.
+  auto d_logits_of = [&](const nn::Matrix& logits,
+                         const std::vector<float>& d_out) {
+    nn::Matrix d_logits(B, 1);
+    for (size_t b = 0; b < B; ++b) {
+      const float s = Sigmoid(logits.at(b, 0));
+      d_logits.at(b, 0) = d_out[b] * s * (1.0f - s);
+    }
+    return d_logits;
+  };
 
   nn::Matrix d_concat;
-  head_->Backward(d_logits, &d_concat);
+  head_->Backward(tape.concat_h, d_logits_of(tape.logits, d_scores),
+                  &d_concat);
 
   // Auxiliary heads contribute to the shared representation's gradient.
   auto add_aux = [&](nn::LinearLayer& aux_head, const nn::Matrix& logits,
-                     const std::vector<float>& outputs,
                      const std::vector<float>& d_out) {
     if (d_out.empty()) return;
     PR_CHECK(d_out.size() == B);
-    (void)logits;
-    nn::Matrix d_aux_logits(B, 1);
-    for (size_t b = 0; b < B; ++b) {
-      const float s = outputs[b];
-      d_aux_logits.at(b, 0) = d_out[b] * s * (1.0f - s);
-    }
     nn::Matrix d_aux_concat;
-    aux_head.Backward(d_aux_logits, &d_aux_concat);
+    aux_head.Backward(tape.concat_h, d_logits_of(logits, d_out),
+                      &d_aux_concat);
     d_concat.Add(d_aux_concat);
   };
   if (config_.multi_task) {
-    add_aux(*aux_length_head_, aux_length_logits_, outputs_.aux_length,
-            d_aux_length);
-    add_aux(*aux_time_head_, aux_time_logits_, outputs_.aux_time, d_aux_time);
+    add_aux(*aux_length_head_, tape.aux_length_logits, d_aux_length);
+    add_aux(*aux_time_head_, tape.aux_time_logits, d_aux_time);
   } else {
     PR_CHECK(d_aux_length.empty() && d_aux_time.empty())
         << "auxiliary gradients require multi_task";
   }
 
   auto backprop_cell = [&](nn::RecurrentLayer& cell,
-                           const nn::Matrix& d_repr,
+                           const nn::RecurrentScratch& cell_tape,
+                           const std::vector<nn::Matrix>& x_steps,
                            const nn::SequenceBatch& cell_batch,
+                           const nn::Matrix& d_repr,
                            std::vector<nn::Matrix>* d_x_steps) {
     if (config_.pooling == Pooling::kMean) {
       std::vector<nn::Matrix> d_h_steps;
       MeanPoolBackward(d_repr, cell_batch.lengths, T, &d_h_steps);
-      cell.BackwardSteps(d_h_steps, d_x_steps);
+      cell.BackwardSteps(x_steps, cell_batch.lengths, cell_tape, d_h_steps,
+                         d_x_steps);
     } else {
-      cell.Backward(d_repr, d_x_steps);
+      cell.Backward(x_steps, cell_batch.lengths, cell_tape, d_repr,
+                    d_x_steps);
+    }
+    for (size_t t = 0; t < T; ++t) {
+      embedding_->AccumulateGrad(cell_batch, t, (*d_x_steps)[t]);
     }
   };
 
@@ -323,19 +259,13 @@ void PathRankModel::BackwardFull(const std::vector<float>& d_scores,
       std::copy(src, src + H, d_repr_fwd.row(b));
       std::copy(src + H, src + 2 * H, d_repr_bwd.row(b));
     }
-    backprop_cell(*fwd_cell_, d_repr_fwd, batch_, &d_x_steps);
-    for (size_t t = 0; t < T; ++t) {
-      embedding_->AccumulateGrad(batch_, t, d_x_steps[t]);
-    }
-    backprop_cell(*bwd_cell_, d_repr_bwd, batch_rev_, &d_x_steps);
-    for (size_t t = 0; t < T; ++t) {
-      embedding_->AccumulateGrad(batch_rev_, t, d_x_steps[t]);
-    }
+    backprop_cell(*fwd_cell_, tape.fwd_cell, tape.x_steps, tape.batch,
+                  d_repr_fwd, &d_x_steps);
+    backprop_cell(*bwd_cell_, tape.bwd_cell, tape.x_steps_rev,
+                  tape.batch_rev, d_repr_bwd, &d_x_steps);
   } else {
-    backprop_cell(*fwd_cell_, d_concat, batch_, &d_x_steps);
-    for (size_t t = 0; t < T; ++t) {
-      embedding_->AccumulateGrad(batch_, t, d_x_steps[t]);
-    }
+    backprop_cell(*fwd_cell_, tape.fwd_cell, tape.x_steps, tape.batch,
+                  d_concat, &d_x_steps);
   }
 }
 

@@ -7,6 +7,11 @@
 // concatenates both final states (the figure's two GRU rows). The embedding
 // matrix B is initialised from node2vec and frozen (PR-A1) or fine-tuned
 // (PR-A2).
+//
+// Training and serving run one forward body. ForwardInference[Full] writes
+// every activation into a caller-owned InferenceScratch; Forward[Full]
+// runs that same body into the model's own recording scratch (the tape),
+// which Backward[Full] reads back.
 #pragma once
 
 #include <memory>
@@ -28,12 +33,14 @@ enum class InitMode {
                 // O(vocab x dim) RNG draws per replica
 };
 
-/// Caller-owned activation buffers for the const inference path
-/// (ForwardInference). The model never writes activations into itself on
-/// that path, so one shared model plus one InferenceScratch per thread
-/// gives race-free concurrent scoring. Buffers are reshaped, not
-/// reallocated, when batch geometry repeats across calls.
+/// Caller-owned activation buffers of one model forward pass. The const
+/// inference path never writes activations into the model, so one shared
+/// model plus one InferenceScratch per thread gives race-free concurrent
+/// scoring. Buffers are reshaped, not reallocated, when batch geometry
+/// repeats across calls. The model's training tape is one of these with
+/// recording cell scratches.
 struct InferenceScratch {
+  nn::SequenceBatch batch;  // the recorded input (training tape only)
   nn::SequenceBatch batch_rev;
   std::vector<nn::Matrix> x_steps;
   std::vector<nn::Matrix> x_steps_rev;
@@ -67,17 +74,19 @@ class PathRankModel {
   };
 
   /// Scores a batch of vertex sequences; returns one score per row.
-  /// Caches activations for a subsequent Backward.
+  /// Records every activation on the model's tape for a subsequent
+  /// Backward.
   std::vector<float> Forward(const nn::SequenceBatch& batch);
 
   /// Forward pass that also produces the auxiliary-head outputs.
   Outputs ForwardFull(const nn::SequenceBatch& batch);
 
-  /// Inference-only forward: bitwise-identical scores to Forward, but all
-  /// activations land in the caller-owned `scratch` instead of the member
-  /// caches, so the model is never mutated. Many threads may score through
-  /// one shared const model concurrently, each with its own scratch. No
-  /// Backward may follow (use Forward for training).
+  /// Inference-only forward: the same body as Forward, so scores are
+  /// bitwise identical, but all activations land in the caller-owned
+  /// `scratch` and each gate reuses one buffer across steps. The model is
+  /// never mutated: many threads may score through one shared const model
+  /// concurrently, each with its own scratch. No Backward may follow (use
+  /// Forward for training).
   std::vector<float> ForwardInference(const nn::SequenceBatch& batch,
                                       InferenceScratch* scratch) const;
 
@@ -85,8 +94,8 @@ class PathRankModel {
   Outputs ForwardInferenceFull(const nn::SequenceBatch& batch,
                                InferenceScratch* scratch) const;
 
-  /// Backpropagates d(loss)/d(score) for the last Forward batch and
-  /// accumulates parameter gradients.
+  /// Backpropagates d(loss)/d(score) through the tape of the last Forward
+  /// and accumulates parameter gradients.
   void Backward(const std::vector<float>& d_scores);
 
   /// Backward including auxiliary-head gradients (multi-task training).
@@ -122,17 +131,9 @@ class PathRankModel {
   std::unique_ptr<nn::LinearLayer> aux_length_head_;  // multi-task only
   std::unique_ptr<nn::LinearLayer> aux_time_head_;    // multi-task only
 
-  // Forward caches.
-  nn::SequenceBatch batch_;
-  nn::SequenceBatch batch_rev_;
-  std::vector<nn::Matrix> x_steps_;
-  std::vector<nn::Matrix> x_steps_rev_;
-  nn::Matrix concat_h_;
-  nn::Matrix logits_;
-  nn::Matrix aux_length_logits_;
-  nn::Matrix aux_time_logits_;
-  Outputs outputs_;
-  std::vector<float> scores_;
+  /// The training tape: Forward[Full] records into it, Backward[Full]
+  /// reads it.
+  InferenceScratch tape_;
 };
 
 }  // namespace pathrank::core

@@ -103,6 +103,21 @@ std::unique_ptr<PathRankModel> LoadModel(const std::string& path) {
     throw std::runtime_error("corrupt model header (zero dimension) in " +
                              path);
   }
+  // The checkpoint stores every parameter the constructor below allocates,
+  // so each of their shapes must fit in the rest of the file.
+  const auto check_shape = [&](uint64_t rows, uint64_t cols,
+                               const std::string& what) {
+    if (cols != 0 && rows > UINT64_MAX / cols) {
+      throw std::runtime_error("corrupt model header (" + what +
+                               " overflows) in " + path);
+    }
+    nn::CheckFitsInStream(in, rows * cols, sizeof(float),
+                          "model header " + what);
+  };
+  check_shape(vocab, cfg.embedding_dim, "vocab x embedding_dim");
+  check_shape(cfg.embedding_dim, cfg.hidden_size,
+              "embedding_dim x hidden_size");
+  check_shape(cfg.hidden_size, cfg.hidden_size, "hidden_size x hidden_size");
   // Enum words are range-checked before the cast: an out-of-range cell
   // would build no recurrent layer at all, and an out-of-range pooling
   // would silently serve as final-state pooling.
@@ -133,6 +148,7 @@ std::unique_ptr<PathRankModel> LoadModel(const std::string& path) {
   std::unordered_map<std::string, nn::Matrix> loaded;
   for (uint32_t i = 0; i < count; ++i) {
     const uint32_t name_len = Get32(in);
+    nn::CheckFitsInStream(in, name_len, 1, "parameter name length");
     std::string name(name_len, '\0');
     in.read(name.data(), name_len);
     if (!in) throw std::runtime_error("truncated model file");

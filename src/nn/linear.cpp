@@ -14,12 +14,7 @@ LinearLayer::LinearLayer(size_t input_size, size_t output_size, SkipInit,
                          const std::string& p)
     : w_(p + ".w", input_size, output_size), b_(p + ".b", 1, output_size) {}
 
-void LinearLayer::Forward(const Matrix& x, Matrix* y) {
-  x_cache_ = x;
-  ForwardInference(x, y);
-}
-
-void LinearLayer::ForwardInference(const Matrix& x, Matrix* y) const {
+void LinearLayer::Forward(const Matrix& x, Matrix* y) const {
   PR_CHECK(x.cols() == input_size());
   if (y->rows() != x.rows() || y->cols() != output_size()) {
     y->Resize(x.rows(), output_size());
@@ -28,14 +23,12 @@ void LinearLayer::ForwardInference(const Matrix& x, Matrix* y) const {
   AddRowBroadcast(b_.value, y);
 }
 
-void LinearLayer::Backward(const Matrix& d_y, Matrix* d_x) {
-  PR_CHECK(d_y.rows() == x_cache_.rows() && d_y.cols() == output_size());
-  GemmTN(x_cache_, d_y, &w_.grad, 1.0f, 1.0f);
+void LinearLayer::Backward(const Matrix& x, const Matrix& d_y, Matrix* d_x) {
+  PR_CHECK(d_y.rows() == x.rows() && d_y.cols() == output_size());
+  GemmTN(x, d_y, &w_.grad, 1.0f, 1.0f);
   AddColumnSums(d_y, &b_.grad);
   if (d_x != nullptr) {
-    if (!d_x->SameShape(x_cache_)) {
-      d_x->Resize(x_cache_.rows(), x_cache_.cols());
-    }
+    if (!d_x->SameShape(x)) d_x->Resize(x.rows(), x.cols());
     GemmNT(d_y, w_.value, d_x, 1.0f, 0.0f);
   }
 }

@@ -1,4 +1,6 @@
-// Fully-connected layer Y = X W + b.
+// Fully-connected layer Y = X W + b. The layer holds only its parameters:
+// Forward is const (safe from many threads at once), and Backward takes
+// the input the matching Forward read.
 #pragma once
 
 #include <string>
@@ -7,7 +9,7 @@
 
 namespace pathrank::nn {
 
-/// Affine layer with cached input for backprop.
+/// Affine layer.
 class LinearLayer {
  public:
   LinearLayer(size_t input_size, size_t output_size, pathrank::Rng& rng,
@@ -17,16 +19,12 @@ class LinearLayer {
   LinearLayer(size_t input_size, size_t output_size, SkipInit,
               const std::string& name_prefix = "fc");
 
-  /// Y[B x out] = X[B x in] W + b. Caches X.
-  void Forward(const Matrix& x, Matrix* y);
+  /// Y[B x out] = X[B x in] W + b.
+  void Forward(const Matrix& x, Matrix* y) const;
 
-  /// Inference-only forward: same arithmetic as Forward but no input
-  /// cache, so it never mutates the layer and is safe to call from many
-  /// threads concurrently.
-  void ForwardInference(const Matrix& x, Matrix* y) const;
-
-  /// Accumulates dW, db and writes dX.
-  void Backward(const Matrix& d_y, Matrix* d_x);
+  /// Backpropagates `d_y` through the Forward that read `x`: accumulates
+  /// dW, db and writes dX (skipped when `d_x` is null).
+  void Backward(const Matrix& x, const Matrix& d_y, Matrix* d_x);
 
   ParameterList Parameters() { return {&w_, &b_}; }
   ConstParameterList Parameters() const { return {&w_, &b_}; }
@@ -36,7 +34,6 @@ class LinearLayer {
  private:
   Parameter w_;  // [in x out]
   Parameter b_;  // [1 x out]
-  Matrix x_cache_;
 };
 
 }  // namespace pathrank::nn

@@ -32,6 +32,39 @@ void TanhBackward(const Matrix& dh, const Matrix& t, Matrix* out) {
   }
 }
 
+/// Slots of each cell's activations in RecurrentScratch::gates.
+enum GruGate : size_t { kZ, kR, kHhat, kRh, kGruGates };
+enum RnnGate : size_t { kHnew, kRnnGates };
+enum LstmGate : size_t { kI, kF, kO, kG, kCNew, kTanhCNew, kLstmGates };
+
+/// Sizes `s` for a forward over `num_steps` steps of [batch x hidden]:
+/// hidden states (plus cell states when `cell_state`) and `num_gates` gate
+/// buffers. Every gate slot is fully written before it is read.
+void PrepareScratch(RecurrentScratch* s, size_t num_steps, size_t batch,
+                    size_t hidden, size_t num_gates, bool cell_state) {
+  EnsureStepShapes(&s->h, num_steps + 1, batch, hidden);
+  s->h[0].Zero();  // zero initial state
+  if (cell_state) {
+    EnsureStepShapes(&s->c, num_steps + 1, batch, hidden);
+    s->c[0].Zero();
+  }
+  const size_t slots = s->record ? num_steps : 1;
+  for (size_t k = 0; k < num_gates; ++k) {
+    EnsureStepShapes(&s->gates[k], slots, batch, hidden);
+  }
+}
+
+/// Throws std::logic_error unless `tape` recorded a Forward over `x_steps`
+/// of a cell with `num_gates` gate buffers.
+void CheckTape(const RecurrentScratch& tape,
+               const std::vector<Matrix>& x_steps, size_t num_gates) {
+  const size_t num_steps = x_steps.size();
+  PR_CHECK(num_steps > 0 && tape.record && tape.h.size() == num_steps + 1 &&
+           tape.h[0].rows() == x_steps[0].rows() &&
+           tape.gates[num_gates - 1].size() == num_steps)
+      << "Backward needs a tape that recorded these steps";
+}
+
 }  // namespace
 
 std::string CellTypeName(CellType type) {
@@ -84,113 +117,45 @@ GruLayer::GruLayer(size_t input_size, size_t hidden_size, SkipInit,
       bh_(p + ".bh", 1, hidden_size) {}
 
 void GruLayer::Forward(const std::vector<Matrix>& x_steps,
-                       const std::vector<int32_t>& lengths, Matrix* final_h) {
+                       const std::vector<int32_t>& lengths,
+                       RecurrentScratch* s, Matrix* final_h) const {
   const size_t num_steps = x_steps.size();
   PR_CHECK(num_steps > 0);
   const size_t batch = x_steps[0].rows();
   const size_t hidden = hidden_size();
 
-  x_steps_ = &x_steps;
-  lengths_ = lengths;
-  // Caches persist across calls; only reshaped (never reallocated when the
-  // batch geometry repeats). Gates are computed directly into their cache
-  // slot, so each step allocates nothing.
-  EnsureStepShapes(&h_, num_steps + 1, batch, hidden);
-  EnsureStepShapes(&z_, num_steps, batch, hidden);
-  EnsureStepShapes(&r_, num_steps, batch, hidden);
-  EnsureStepShapes(&hhat_, num_steps, batch, hidden);
-  EnsureStepShapes(&rh_, num_steps, batch, hidden);
-  h_[0].Zero();  // zero initial state
-
-  for (size_t t = 0; t < num_steps; ++t) {
-    const Matrix& x = x_steps[t];
-    const Matrix& h_prev = h_[t];
-    PR_CHECK(x.cols() == input_size());
-
-    Matrix& z = z_[t];
-    GemmNN(x, wz_.value, &z);
-    GemmNN(h_prev, uz_.value, &z, 1.0f, 1.0f);
-    AddRowBroadcast(bz_.value, &z);
-    SigmoidInPlace(&z);
-
-    Matrix& r = r_[t];
-    GemmNN(x, wr_.value, &r);
-    GemmNN(h_prev, ur_.value, &r, 1.0f, 1.0f);
-    AddRowBroadcast(br_.value, &r);
-    SigmoidInPlace(&r);
-
-    Hadamard(r, h_prev, &rh_[t]);
-
-    Matrix& hhat = hhat_[t];
-    GemmNN(x, wh_.value, &hhat);
-    GemmNN(rh_[t], uh_.value, &hhat, 1.0f, 1.0f);
-    AddRowBroadcast(bh_.value, &hhat);
-    TanhInPlace(&hhat);
-
-    // h_new = h_prev + m*z*(hhat - h_prev): masked rows keep h_prev.
-    const auto mask = StepMask(lengths_, t);
-    Matrix& h_new = h_[t + 1];
-    for (size_t b = 0; b < batch; ++b) {
-      float* hn = h_new.row(b);
-      const float* hp = h_prev.row(b);
-      if (mask[b] == 0.0f) {
-        std::copy(hp, hp + hidden, hn);
-        continue;
-      }
-      const float* zz = z.row(b);
-      const float* hh = hhat.row(b);
-      for (size_t c = 0; c < hidden; ++c) {
-        hn[c] = (1.0f - zz[c]) * hp[c] + zz[c] * hh[c];
-      }
-    }
-  }
-  *final_h = h_[num_steps];
-}
-
-void GruLayer::ForwardInference(const std::vector<Matrix>& x_steps,
-                                const std::vector<int32_t>& lengths,
-                                RecurrentScratch* s, Matrix* final_h) const {
-  const size_t num_steps = x_steps.size();
-  PR_CHECK(num_steps > 0);
-  const size_t batch = x_steps[0].rows();
-  const size_t hidden = hidden_size();
-
-  // Same arithmetic and operation order as Forward — scores must be
-  // bitwise identical — but gates live in per-step scratch (no Backward
-  // follows) and hidden states in the caller's buffers.
-  EnsureStepShapes(&s->h, num_steps + 1, batch, hidden);
-  Matrix& z = s->g1;
-  Matrix& r = s->g2;
-  Matrix& hhat = s->g3;
-  Matrix& rh = s->g4;
-  z.ResizeNoZero(batch, hidden);
-  r.ResizeNoZero(batch, hidden);
-  hhat.ResizeNoZero(batch, hidden);
-  rh.ResizeNoZero(batch, hidden);
-  s->h[0].Zero();
+  // Gates are computed directly into their scratch slot, so each step
+  // allocates nothing.
+  PrepareScratch(s, num_steps, batch, hidden, kGruGates,
+                 /*cell_state=*/false);
 
   for (size_t t = 0; t < num_steps; ++t) {
     const Matrix& x = x_steps[t];
     const Matrix& h_prev = s->h[t];
     PR_CHECK(x.cols() == input_size());
 
+    Matrix& z = s->gate(kZ, t);
     GemmNN(x, wz_.value, &z);
     GemmNN(h_prev, uz_.value, &z, 1.0f, 1.0f);
     AddRowBroadcast(bz_.value, &z);
     SigmoidInPlace(&z);
 
+    Matrix& r = s->gate(kR, t);
     GemmNN(x, wr_.value, &r);
     GemmNN(h_prev, ur_.value, &r, 1.0f, 1.0f);
     AddRowBroadcast(br_.value, &r);
     SigmoidInPlace(&r);
 
+    Matrix& rh = s->gate(kRh, t);
     Hadamard(r, h_prev, &rh);
 
+    Matrix& hhat = s->gate(kHhat, t);
     GemmNN(x, wh_.value, &hhat);
     GemmNN(rh, uh_.value, &hhat, 1.0f, 1.0f);
     AddRowBroadcast(bh_.value, &hhat);
     TanhInPlace(&hhat);
 
+    // h_new = h_prev + m*z*(hhat - h_prev): masked rows keep h_prev.
     const auto mask = StepMask(lengths, t);
     Matrix& h_new = s->h[t + 1];
     for (size_t b = 0; b < batch; ++b) {
@@ -210,11 +175,13 @@ void GruLayer::ForwardInference(const std::vector<Matrix>& x_steps,
   *final_h = s->h[num_steps];
 }
 
-void GruLayer::BackwardImpl(const Matrix* d_final_h,
+void GruLayer::BackwardImpl(const std::vector<Matrix>& x_steps,
+                            const std::vector<int32_t>& lengths,
+                            const RecurrentScratch& tape,
+                            const Matrix* d_final_h,
                             const std::vector<Matrix>* d_h_steps,
                             std::vector<Matrix>* d_x_steps) {
-  PR_CHECK(x_steps_ != nullptr) << "Backward without Forward";
-  const auto& x_steps = *x_steps_;
+  CheckTape(tape, x_steps, kGruGates);
   const size_t num_steps = x_steps.size();
   const size_t batch = x_steps[0].rows();
   const size_t hidden = hidden_size();
@@ -233,11 +200,11 @@ void GruLayer::BackwardImpl(const Matrix* d_final_h,
   for (size_t t = num_steps; t-- > 0;) {
     if (d_h_steps != nullptr) dh.Add((*d_h_steps)[t]);
     const Matrix& x = x_steps[t];
-    const Matrix& h_prev = h_[t];
-    const Matrix& z = z_[t];
-    const Matrix& r = r_[t];
-    const Matrix& hhat = hhat_[t];
-    const auto mask = StepMask(lengths_, t);
+    const Matrix& h_prev = tape.h[t];
+    const Matrix& z = tape.gate(kZ, t);
+    const Matrix& r = tape.gate(kR, t);
+    const Matrix& hhat = tape.gate(kHhat, t);
+    const auto mask = StepMask(lengths, t);
 
     Matrix& dx = (*d_x_steps)[t];
 
@@ -263,7 +230,7 @@ void GruLayer::BackwardImpl(const Matrix* d_final_h,
     // Candidate branch.
     TanhBackward(dhhat, hhat, &da);
     GemmTN(x, da, &wh_.grad, 1.0f, 1.0f);
-    GemmTN(rh_[t], da, &uh_.grad, 1.0f, 1.0f);
+    GemmTN(tape.gate(kRh, t), da, &uh_.grad, 1.0f, 1.0f);
     AddColumnSums(da, &bh_.grad);
     GemmNT(da, wh_.value, &dx, 1.0f, 0.0f);
     GemmNT(da, uh_.value, &drh, 1.0f, 0.0f);
@@ -296,7 +263,6 @@ void GruLayer::BackwardImpl(const Matrix* d_final_h,
 
     std::swap(dh, dh_prev);
   }
-  x_steps_ = nullptr;
 }
 
 ParameterList GruLayer::Parameters() {
@@ -325,53 +291,20 @@ RnnLayer::RnnLayer(size_t input_size, size_t hidden_size, SkipInit,
       b_(p + ".b", 1, hidden_size) {}
 
 void RnnLayer::Forward(const std::vector<Matrix>& x_steps,
-                       const std::vector<int32_t>& lengths, Matrix* final_h) {
+                       const std::vector<int32_t>& lengths,
+                       RecurrentScratch* s, Matrix* final_h) const {
   const size_t num_steps = x_steps.size();
   PR_CHECK(num_steps > 0);
   const size_t batch = x_steps[0].rows();
   const size_t hidden = hidden_size();
 
-  x_steps_ = &x_steps;
-  lengths_ = lengths;
-  EnsureStepShapes(&h_, num_steps + 1, batch, hidden);
-  EnsureStepShapes(&hnew_, num_steps, batch, hidden);
-  h_[0].Zero();
-
-  for (size_t t = 0; t < num_steps; ++t) {
-    const Matrix& x = x_steps[t];
-    const Matrix& h_prev = h_[t];
-    Matrix& hnew = hnew_[t];
-    GemmNN(x, w_.value, &hnew);
-    GemmNN(h_prev, u_.value, &hnew, 1.0f, 1.0f);
-    AddRowBroadcast(b_.value, &hnew);
-    TanhInPlace(&hnew);
-
-    const auto mask = StepMask(lengths_, t);
-    Matrix& h_new = h_[t + 1];
-    for (size_t bb = 0; bb < batch; ++bb) {
-      const float* src = mask[bb] == 0.0f ? h_prev.row(bb) : hnew.row(bb);
-      std::copy(src, src + hidden, h_new.row(bb));
-    }
-  }
-  *final_h = h_[num_steps];
-}
-
-void RnnLayer::ForwardInference(const std::vector<Matrix>& x_steps,
-                                const std::vector<int32_t>& lengths,
-                                RecurrentScratch* s, Matrix* final_h) const {
-  const size_t num_steps = x_steps.size();
-  PR_CHECK(num_steps > 0);
-  const size_t batch = x_steps[0].rows();
-  const size_t hidden = hidden_size();
-
-  EnsureStepShapes(&s->h, num_steps + 1, batch, hidden);
-  Matrix& hnew = s->g1;
-  hnew.ResizeNoZero(batch, hidden);
-  s->h[0].Zero();
+  PrepareScratch(s, num_steps, batch, hidden, kRnnGates,
+                 /*cell_state=*/false);
 
   for (size_t t = 0; t < num_steps; ++t) {
     const Matrix& x = x_steps[t];
     const Matrix& h_prev = s->h[t];
+    Matrix& hnew = s->gate(kHnew, t);
     GemmNN(x, w_.value, &hnew);
     GemmNN(h_prev, u_.value, &hnew, 1.0f, 1.0f);
     AddRowBroadcast(b_.value, &hnew);
@@ -387,11 +320,13 @@ void RnnLayer::ForwardInference(const std::vector<Matrix>& x_steps,
   *final_h = s->h[num_steps];
 }
 
-void RnnLayer::BackwardImpl(const Matrix* d_final_h,
+void RnnLayer::BackwardImpl(const std::vector<Matrix>& x_steps,
+                            const std::vector<int32_t>& lengths,
+                            const RecurrentScratch& tape,
+                            const Matrix* d_final_h,
                             const std::vector<Matrix>* d_h_steps,
                             std::vector<Matrix>* d_x_steps) {
-  PR_CHECK(x_steps_ != nullptr) << "Backward without Forward";
-  const auto& x_steps = *x_steps_;
+  CheckTape(tape, x_steps, kRnnGates);
   const size_t num_steps = x_steps.size();
   const size_t batch = x_steps[0].rows();
   const size_t hidden = hidden_size();
@@ -407,8 +342,8 @@ void RnnLayer::BackwardImpl(const Matrix* d_final_h,
   for (size_t t = num_steps; t-- > 0;) {
     if (d_h_steps != nullptr) dh.Add((*d_h_steps)[t]);
     const Matrix& x = x_steps[t];
-    const Matrix& h_prev = h_[t];
-    const auto mask = StepMask(lengths_, t);
+    const Matrix& h_prev = tape.h[t];
+    const auto mask = StepMask(lengths, t);
 
     for (size_t bb = 0; bb < batch; ++bb) {
       const float m = mask[bb];
@@ -421,7 +356,7 @@ void RnnLayer::BackwardImpl(const Matrix* d_final_h,
       }
     }
 
-    TanhBackward(dhnew, hnew_[t], &da);
+    TanhBackward(dhnew, tape.gate(kHnew, t), &da);
     GemmTN(x, da, &w_.grad, 1.0f, 1.0f);
     GemmTN(h_prev, da, &u_.grad, 1.0f, 1.0f);
     AddColumnSums(da, &b_.grad);
@@ -431,7 +366,6 @@ void RnnLayer::BackwardImpl(const Matrix* d_final_h,
 
     std::swap(dh, dh_prev);
   }
-  x_steps_ = nullptr;
 }
 
 ParameterList RnnLayer::Parameters() { return {&w_, &u_, &b_}; }
@@ -477,107 +411,16 @@ LstmLayer::LstmLayer(size_t input_size, size_t hidden_size, SkipInit,
 
 void LstmLayer::Forward(const std::vector<Matrix>& x_steps,
                         const std::vector<int32_t>& lengths,
-                        Matrix* final_h) {
+                        RecurrentScratch* s, Matrix* final_h) const {
   const size_t num_steps = x_steps.size();
   PR_CHECK(num_steps > 0);
   const size_t batch = x_steps[0].rows();
   const size_t hidden = hidden_size();
 
-  x_steps_ = &x_steps;
-  lengths_ = lengths;
-  EnsureStepShapes(&h_, num_steps + 1, batch, hidden);
-  EnsureStepShapes(&c_, num_steps + 1, batch, hidden);
-  EnsureStepShapes(&i_, num_steps, batch, hidden);
-  EnsureStepShapes(&f_, num_steps, batch, hidden);
-  EnsureStepShapes(&o_, num_steps, batch, hidden);
-  EnsureStepShapes(&g_, num_steps, batch, hidden);
-  EnsureStepShapes(&c_new_, num_steps, batch, hidden);
-  EnsureStepShapes(&tanh_c_new_, num_steps, batch, hidden);
-  h_[0].Zero();
-  c_[0].Zero();
+  PrepareScratch(s, num_steps, batch, hidden, kLstmGates,
+                 /*cell_state=*/true);
 
-  // Gates are computed directly into their cache slot.
-  auto gate = [](const Matrix& x, const Matrix& h_prev, const Parameter& w,
-                 const Parameter& u, const Parameter& b, bool is_tanh,
-                 Matrix* out) {
-    GemmNN(x, w.value, out);
-    GemmNN(h_prev, u.value, out, 1.0f, 1.0f);
-    AddRowBroadcast(b.value, out);
-    if (is_tanh) {
-      TanhInPlace(out);
-    } else {
-      SigmoidInPlace(out);
-    }
-  };
-
-  for (size_t t = 0; t < num_steps; ++t) {
-    const Matrix& x = x_steps[t];
-    const Matrix& h_prev = h_[t];
-    const Matrix& c_prev = c_[t];
-    gate(x, h_prev, wi_, ui_, bi_, false, &i_[t]);
-    gate(x, h_prev, wf_, uf_, bf_, false, &f_[t]);
-    gate(x, h_prev, wo_, uo_, bo_, false, &o_[t]);
-    gate(x, h_prev, wg_, ug_, bg_, true, &g_[t]);
-
-    Matrix& cn = c_new_[t];
-    for (size_t bb = 0; bb < batch; ++bb) {
-      const float* pf = f_[t].row(bb);
-      const float* pi = i_[t].row(bb);
-      const float* pg = g_[t].row(bb);
-      const float* pc = c_prev.row(bb);
-      float* pcn = cn.row(bb);
-      for (size_t cidx = 0; cidx < hidden; ++cidx) {
-        pcn[cidx] = pf[cidx] * pc[cidx] + pi[cidx] * pg[cidx];
-      }
-    }
-    tanh_c_new_[t] = cn;
-    TanhInPlace(&tanh_c_new_[t]);
-
-    const auto mask = StepMask(lengths_, t);
-    Matrix& h_next = h_[t + 1];
-    Matrix& c_next = c_[t + 1];
-    for (size_t bb = 0; bb < batch; ++bb) {
-      float* ph = h_next.row(bb);
-      float* pc = c_next.row(bb);
-      if (mask[bb] == 0.0f) {
-        std::copy(h_prev.row(bb), h_prev.row(bb) + hidden, ph);
-        std::copy(c_prev.row(bb), c_prev.row(bb) + hidden, pc);
-        continue;
-      }
-      const float* po = o_[t].row(bb);
-      const float* ptc = tanh_c_new_[t].row(bb);
-      const float* pcn = cn.row(bb);
-      for (size_t cidx = 0; cidx < hidden; ++cidx) {
-        ph[cidx] = po[cidx] * ptc[cidx];
-        pc[cidx] = pcn[cidx];
-      }
-    }
-  }
-  *final_h = h_[num_steps];
-}
-
-void LstmLayer::ForwardInference(const std::vector<Matrix>& x_steps,
-                                 const std::vector<int32_t>& lengths,
-                                 RecurrentScratch* s, Matrix* final_h) const {
-  const size_t num_steps = x_steps.size();
-  PR_CHECK(num_steps > 0);
-  const size_t batch = x_steps[0].rows();
-  const size_t hidden = hidden_size();
-
-  EnsureStepShapes(&s->h, num_steps + 1, batch, hidden);
-  EnsureStepShapes(&s->c, num_steps + 1, batch, hidden);
-  Matrix& ig = s->g1;
-  Matrix& fg = s->g2;
-  Matrix& og = s->g3;
-  Matrix& gg = s->g4;
-  Matrix& cn = s->tmp;
-  Matrix& tanh_cn = s->tmp2;
-  for (Matrix* m : {&ig, &fg, &og, &gg, &cn}) {
-    m->ResizeNoZero(batch, hidden);
-  }
-  s->h[0].Zero();
-  s->c[0].Zero();
-
+  // Gates are computed directly into their scratch slot.
   auto gate = [](const Matrix& x, const Matrix& h_prev, const Parameter& w,
                  const Parameter& u, const Parameter& b, bool is_tanh,
                  Matrix* out) {
@@ -595,11 +438,16 @@ void LstmLayer::ForwardInference(const std::vector<Matrix>& x_steps,
     const Matrix& x = x_steps[t];
     const Matrix& h_prev = s->h[t];
     const Matrix& c_prev = s->c[t];
+    Matrix& ig = s->gate(kI, t);
+    Matrix& fg = s->gate(kF, t);
+    Matrix& og = s->gate(kO, t);
+    Matrix& gg = s->gate(kG, t);
     gate(x, h_prev, wi_, ui_, bi_, false, &ig);
     gate(x, h_prev, wf_, uf_, bf_, false, &fg);
     gate(x, h_prev, wo_, uo_, bo_, false, &og);
     gate(x, h_prev, wg_, ug_, bg_, true, &gg);
 
+    Matrix& cn = s->gate(kCNew, t);
     for (size_t bb = 0; bb < batch; ++bb) {
       const float* pf = fg.row(bb);
       const float* pi = ig.row(bb);
@@ -610,6 +458,7 @@ void LstmLayer::ForwardInference(const std::vector<Matrix>& x_steps,
         pcn[cidx] = pf[cidx] * pc[cidx] + pi[cidx] * pg[cidx];
       }
     }
+    Matrix& tanh_cn = s->gate(kTanhCNew, t);
     tanh_cn = cn;
     TanhInPlace(&tanh_cn);
 
@@ -636,11 +485,13 @@ void LstmLayer::ForwardInference(const std::vector<Matrix>& x_steps,
   *final_h = s->h[num_steps];
 }
 
-void LstmLayer::BackwardImpl(const Matrix* d_final_h,
+void LstmLayer::BackwardImpl(const std::vector<Matrix>& x_steps,
+                             const std::vector<int32_t>& lengths,
+                             const RecurrentScratch& tape,
+                             const Matrix* d_final_h,
                              const std::vector<Matrix>* d_h_steps,
                              std::vector<Matrix>* d_x_steps) {
-  PR_CHECK(x_steps_ != nullptr) << "Backward without Forward";
-  const auto& x_steps = *x_steps_;
+  CheckTape(tape, x_steps, kLstmGates);
   const size_t num_steps = x_steps.size();
   const size_t batch = x_steps[0].rows();
   const size_t hidden = hidden_size();
@@ -660,9 +511,14 @@ void LstmLayer::BackwardImpl(const Matrix* d_final_h,
   for (size_t t = num_steps; t-- > 0;) {
     if (d_h_steps != nullptr) dh.Add((*d_h_steps)[t]);
     const Matrix& x = x_steps[t];
-    const Matrix& h_prev = h_[t];
-    const Matrix& c_prev = c_[t];
-    const auto mask = StepMask(lengths_, t);
+    const Matrix& h_prev = tape.h[t];
+    const Matrix& c_prev = tape.c[t];
+    const Matrix& ig = tape.gate(kI, t);
+    const Matrix& fg = tape.gate(kF, t);
+    const Matrix& og = tape.gate(kO, t);
+    const Matrix& gg = tape.gate(kG, t);
+    const Matrix& tanh_cn = tape.gate(kTanhCNew, t);
+    const auto mask = StepMask(lengths, t);
 
     Matrix& dx = (*d_x_steps)[t];
 
@@ -671,9 +527,9 @@ void LstmLayer::BackwardImpl(const Matrix* d_final_h,
       const float m = mask[bb];
       const float* pdh = dh.row(bb);
       const float* pdc = dc.row(bb);
-      const float* po = o_[t].row(bb);
-      const float* ptc = tanh_c_new_[t].row(bb);
-      const float* pf = f_[t].row(bb);
+      const float* po = og.row(bb);
+      const float* ptc = tanh_cn.row(bb);
+      const float* pf = fg.row(bb);
       float* pdhn = dh_new.row(bb);
       float* pdcn = dc_new.row(bb);
       float* pdhp = dh_prev.row(bb);
@@ -705,22 +561,21 @@ void LstmLayer::BackwardImpl(const Matrix* d_final_h,
     };
 
     // Output gate: dO = dh_new * tanh_c_new.
-    Hadamard(dh_new, tanh_c_new_[t], &dgate);
-    backprop_gate(dgate, o_[t], false, wo_, uo_, bo_, /*first_dx=*/true);
+    Hadamard(dh_new, tanh_cn, &dgate);
+    backprop_gate(dgate, og, false, wo_, uo_, bo_, /*first_dx=*/true);
     // Input gate: dI = dc_new * g.
-    Hadamard(dc_new, g_[t], &dgate);
-    backprop_gate(dgate, i_[t], false, wi_, ui_, bi_, false);
+    Hadamard(dc_new, gg, &dgate);
+    backprop_gate(dgate, ig, false, wi_, ui_, bi_, false);
     // Forget gate: dF = dc_new * c_prev.
     Hadamard(dc_new, c_prev, &dgate);
-    backprop_gate(dgate, f_[t], false, wf_, uf_, bf_, false);
+    backprop_gate(dgate, fg, false, wf_, uf_, bf_, false);
     // Cell candidate: dG = dc_new * i.
-    Hadamard(dc_new, i_[t], &dgate);
-    backprop_gate(dgate, g_[t], true, wg_, ug_, bg_, false);
+    Hadamard(dc_new, ig, &dgate);
+    backprop_gate(dgate, gg, true, wg_, ug_, bg_, false);
 
     std::swap(dh, dh_prev);
     std::swap(dc, dc_prev);
   }
-  x_steps_ = nullptr;
 }
 
 ParameterList LstmLayer::Parameters() {

@@ -1,16 +1,22 @@
 // Recurrent sequence encoders: GRU (the paper's choice), vanilla tanh RNN
 // and LSTM (ablations). All share one interface:
 //
-//   Forward(x_steps, lengths, &final_h)   — x_steps[t] is the [B x input]
-//     embedding of timestep t; final_h receives the hidden state of each
-//     row after its true length (padding is masked, not processed).
-//   Backward(d_final_h, &d_x_steps)       — exact BPTT; returns gradients
-//     with respect to every input step and accumulates parameter grads.
+//   Forward(x_steps, lengths, &scratch, &final_h) const — x_steps[t] is the
+//     [B x input] embedding of timestep t; final_h receives the hidden state
+//     of each row after its true length (padding is masked, not processed).
+//     Every activation lands in the caller-owned scratch.
+//   Backward(x_steps, lengths, tape, d_final_h, &d_x_steps) — exact BPTT
+//     over a scratch that recorded a Forward of the same inputs; returns
+//     gradients with respect to every input step and accumulates parameter
+//     grads.
 //
-// Implementations cache activations in Forward; a Backward call must follow
-// the matching Forward call (standard training loop discipline).
+// Training and serving run the same Forward body; only the scratch differs
+// (a recording tape or reused inference buffers). Layers hold nothing but
+// their Parameters, so many threads may run Forward on one shared layer,
+// each with its own scratch.
 #pragma once
 
+#include <array>
 #include <memory>
 #include <string>
 #include <vector>
@@ -19,16 +25,27 @@
 
 namespace pathrank::nn {
 
-/// Caller-owned activation buffers for the const inference path of the
-/// recurrent layers (ForwardInference). One scratch per concurrent caller;
-/// buffers are reshaped, not reallocated, when batch geometry repeats.
-/// After ForwardInference, `h[t + 1]` is the hidden state after step t
-/// (`h[0]` is the zero initial state) — the mean-pooling head reads it.
+/// Caller-owned activation buffers of one recurrent forward pass. Buffers
+/// are reshaped, not reallocated, when batch geometry repeats. After
+/// Forward, `h[t + 1]` is the hidden state after step t (`h[0]` is the zero
+/// initial state) — the mean-pooling head reads it.
+///
+/// With `record` set the scratch is a training tape: each gate keeps one
+/// slot per step, which Backward reads. Otherwise each gate reuses a single
+/// slot across steps (inference).
 struct RecurrentScratch {
-  std::vector<Matrix> h;   // [num_steps + 1] hidden states
-  std::vector<Matrix> c;   // [num_steps + 1] LSTM cell states (LSTM only)
-  Matrix g1, g2, g3, g4;   // per-step gate scratch, reused across steps
-  Matrix tmp, tmp2;        // per-step intermediate scratch
+  bool record = false;
+  std::vector<Matrix> h;  // [num_steps + 1] hidden states
+  std::vector<Matrix> c;  // [num_steps + 1] LSTM cell states (LSTM only)
+  /// gates[k]: the cell's k-th per-step activation (GRU z, r, hhat, r*h;
+  /// RNN unmasked tanh output; LSTM i, f, o, g, c_new, tanh(c_new)).
+  std::array<std::vector<Matrix>, 6> gates;
+
+  /// Gate k's buffer for step t.
+  Matrix& gate(size_t k, size_t t) { return gates[k][record ? t : 0]; }
+  const Matrix& gate(size_t k, size_t t) const {
+    return gates[k][record ? t : 0];
+  }
 };
 
 /// Abstract masked recurrent encoder.
@@ -36,39 +53,33 @@ class RecurrentLayer {
  public:
   virtual ~RecurrentLayer() = default;
 
-  /// Consumes `x_steps` (one [B x input_size] matrix per timestep) and
-  /// writes the per-row final hidden state into `final_h` [B x hidden].
+  /// Consumes `x_steps` (one [B x input_size] matrix per timestep), writes
+  /// every activation into `scratch` and the per-row final hidden state
+  /// into `final_h` [B x hidden]. Never mutates the layer.
   virtual void Forward(const std::vector<Matrix>& x_steps,
                        const std::vector<int32_t>& lengths,
-                       Matrix* final_h) = 0;
+                       RecurrentScratch* scratch, Matrix* final_h) const = 0;
 
-  /// Inference-only forward: bitwise-identical arithmetic to Forward, but
-  /// every activation lands in the caller-owned `scratch` instead of the
-  /// member caches, so the layer itself is never mutated — many threads
-  /// may call this concurrently on one shared layer, each with its own
-  /// scratch. No Backward may follow (use Forward for training).
-  virtual void ForwardInference(const std::vector<Matrix>& x_steps,
-                                const std::vector<int32_t>& lengths,
-                                RecurrentScratch* scratch,
-                                Matrix* final_h) const = 0;
-
-  /// Hidden state after step `t` of the last Forward ([B x hidden]).
-  /// Padded rows carry the last real state forward.
-  virtual const Matrix& hidden_state(size_t t) const = 0;
-
-  /// Backpropagates `d_final_h` [B x hidden]; writes input gradients into
-  /// `d_x_steps` (resized to match the last Forward) and accumulates
-  /// parameter gradients.
-  void Backward(const Matrix& d_final_h, std::vector<Matrix>* d_x_steps) {
-    BackwardImpl(&d_final_h, nullptr, d_x_steps);
+  /// Backpropagates `d_final_h` [B x hidden] through the Forward of
+  /// (`x_steps`, `lengths`) that `tape` recorded; writes input gradients
+  /// into `d_x_steps` and accumulates parameter gradients. Throws
+  /// std::logic_error when `tape` did not record these steps.
+  void Backward(const std::vector<Matrix>& x_steps,
+                const std::vector<int32_t>& lengths,
+                const RecurrentScratch& tape, const Matrix& d_final_h,
+                std::vector<Matrix>* d_x_steps) {
+    BackwardImpl(x_steps, lengths, tape, &d_final_h, nullptr, d_x_steps);
   }
 
   /// Backpropagates per-step hidden-state gradients (`d_h_steps[t]` is the
-  /// gradient on hidden_state(t)); used by mean-pooling heads. Rows beyond
+  /// gradient on `tape.h[t + 1]`); used by mean-pooling heads. Rows beyond
   /// a sequence's true length must carry zero gradient.
-  void BackwardSteps(const std::vector<Matrix>& d_h_steps,
+  void BackwardSteps(const std::vector<Matrix>& x_steps,
+                     const std::vector<int32_t>& lengths,
+                     const RecurrentScratch& tape,
+                     const std::vector<Matrix>& d_h_steps,
                      std::vector<Matrix>* d_x_steps) {
-    BackwardImpl(nullptr, &d_h_steps, d_x_steps);
+    BackwardImpl(x_steps, lengths, tape, nullptr, &d_h_steps, d_x_steps);
   }
 
   virtual ParameterList Parameters() = 0;
@@ -79,7 +90,10 @@ class RecurrentLayer {
 
  protected:
   /// Exactly one of `d_final_h` / `d_h_steps` is non-null.
-  virtual void BackwardImpl(const Matrix* d_final_h,
+  virtual void BackwardImpl(const std::vector<Matrix>& x_steps,
+                            const std::vector<int32_t>& lengths,
+                            const RecurrentScratch& tape,
+                            const Matrix* d_final_h,
                             const std::vector<Matrix>* d_h_steps,
                             std::vector<Matrix>* d_x_steps) = 0;
 };
@@ -101,12 +115,8 @@ class GruLayer final : public RecurrentLayer {
            const std::string& name_prefix = "gru");
 
   void Forward(const std::vector<Matrix>& x_steps,
-               const std::vector<int32_t>& lengths, Matrix* final_h) override;
-  void ForwardInference(const std::vector<Matrix>& x_steps,
-                        const std::vector<int32_t>& lengths,
-                        RecurrentScratch* scratch,
-                        Matrix* final_h) const override;
-  const Matrix& hidden_state(size_t t) const override { return h_[t + 1]; }
+               const std::vector<int32_t>& lengths, RecurrentScratch* scratch,
+               Matrix* final_h) const override;
   ParameterList Parameters() override;
   ConstParameterList Parameters() const override;
   size_t input_size() const override { return wz_.value.rows(); }
@@ -114,7 +124,9 @@ class GruLayer final : public RecurrentLayer {
   std::string Name() const override { return "gru"; }
 
  protected:
-  void BackwardImpl(const Matrix* d_final_h,
+  void BackwardImpl(const std::vector<Matrix>& x_steps,
+                    const std::vector<int32_t>& lengths,
+                    const RecurrentScratch& tape, const Matrix* d_final_h,
                     const std::vector<Matrix>* d_h_steps,
                     std::vector<Matrix>* d_x_steps) override;
 
@@ -122,15 +134,6 @@ class GruLayer final : public RecurrentLayer {
   Parameter wz_, wr_, wh_;  // [input x hidden]
   Parameter uz_, ur_, uh_;  // [hidden x hidden]
   Parameter bz_, br_, bh_;  // [1 x hidden]
-
-  // Forward caches.
-  const std::vector<Matrix>* x_steps_ = nullptr;
-  std::vector<int32_t> lengths_;
-  std::vector<Matrix> h_;     // h_[t] = state after step t; h_[0] = 0
-  std::vector<Matrix> z_;     // raw update gate per step
-  std::vector<Matrix> r_;     // raw reset gate per step
-  std::vector<Matrix> hhat_;  // candidate state per step
-  std::vector<Matrix> rh_;    // r * h_prev per step
 };
 
 /// Vanilla tanh RNN: h' = tanh(x W + h U + b).
@@ -142,12 +145,8 @@ class RnnLayer final : public RecurrentLayer {
            const std::string& name_prefix = "rnn");
 
   void Forward(const std::vector<Matrix>& x_steps,
-               const std::vector<int32_t>& lengths, Matrix* final_h) override;
-  void ForwardInference(const std::vector<Matrix>& x_steps,
-                        const std::vector<int32_t>& lengths,
-                        RecurrentScratch* scratch,
-                        Matrix* final_h) const override;
-  const Matrix& hidden_state(size_t t) const override { return h_[t + 1]; }
+               const std::vector<int32_t>& lengths, RecurrentScratch* scratch,
+               Matrix* final_h) const override;
   ParameterList Parameters() override;
   ConstParameterList Parameters() const override;
   size_t input_size() const override { return w_.value.rows(); }
@@ -155,17 +154,14 @@ class RnnLayer final : public RecurrentLayer {
   std::string Name() const override { return "rnn"; }
 
  protected:
-  void BackwardImpl(const Matrix* d_final_h,
+  void BackwardImpl(const std::vector<Matrix>& x_steps,
+                    const std::vector<int32_t>& lengths,
+                    const RecurrentScratch& tape, const Matrix* d_final_h,
                     const std::vector<Matrix>* d_h_steps,
                     std::vector<Matrix>* d_x_steps) override;
 
  private:
   Parameter w_, u_, b_;
-
-  const std::vector<Matrix>* x_steps_ = nullptr;
-  std::vector<int32_t> lengths_;
-  std::vector<Matrix> h_;      // masked states; h_[0] = 0
-  std::vector<Matrix> hnew_;   // unmasked tanh output per step
 };
 
 /// LSTM with forget/input/output gates and cell state.
@@ -177,12 +173,8 @@ class LstmLayer final : public RecurrentLayer {
             const std::string& name_prefix = "lstm");
 
   void Forward(const std::vector<Matrix>& x_steps,
-               const std::vector<int32_t>& lengths, Matrix* final_h) override;
-  void ForwardInference(const std::vector<Matrix>& x_steps,
-                        const std::vector<int32_t>& lengths,
-                        RecurrentScratch* scratch,
-                        Matrix* final_h) const override;
-  const Matrix& hidden_state(size_t t) const override { return h_[t + 1]; }
+               const std::vector<int32_t>& lengths, RecurrentScratch* scratch,
+               Matrix* final_h) const override;
   ParameterList Parameters() override;
   ConstParameterList Parameters() const override;
   size_t input_size() const override { return wi_.value.rows(); }
@@ -190,7 +182,9 @@ class LstmLayer final : public RecurrentLayer {
   std::string Name() const override { return "lstm"; }
 
  protected:
-  void BackwardImpl(const Matrix* d_final_h,
+  void BackwardImpl(const std::vector<Matrix>& x_steps,
+                    const std::vector<int32_t>& lengths,
+                    const RecurrentScratch& tape, const Matrix* d_final_h,
                     const std::vector<Matrix>* d_h_steps,
                     std::vector<Matrix>* d_x_steps) override;
 
@@ -198,12 +192,6 @@ class LstmLayer final : public RecurrentLayer {
   Parameter wi_, wf_, wo_, wg_;  // [input x hidden]
   Parameter ui_, uf_, uo_, ug_;  // [hidden x hidden]
   Parameter bi_, bf_, bo_, bg_;  // [1 x hidden]
-
-  const std::vector<Matrix>* x_steps_ = nullptr;
-  std::vector<int32_t> lengths_;
-  std::vector<Matrix> h_, c_;               // masked states; index 0 = 0
-  std::vector<Matrix> i_, f_, o_, g_;       // gates per step
-  std::vector<Matrix> c_new_, tanh_c_new_;  // unmasked cell and tanh(cell)
 };
 
 /// Factory for the configured cell type. `name_prefix` namespaces the

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <fstream>
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
 
 namespace pathrank::nn {
@@ -29,6 +30,7 @@ void PutString(std::ostream& out, const std::string& s) {
 
 std::string GetString(std::istream& in) {
   const uint32_t n = Get32(in);
+  CheckFitsInStream(in, n, 1, "string length");
   std::string s(n, '\0');
   in.read(s.data(), n);
   if (!in) throw std::runtime_error("truncated stream");
@@ -36,6 +38,24 @@ std::string GetString(std::istream& in) {
 }
 
 }  // namespace
+
+void CheckFitsInStream(std::istream& in, uint64_t count, uint64_t item_bytes,
+                       const std::string& what) {
+  const std::streamoff here = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::streamoff end = in.tellg();
+  in.seekg(here);
+  if (!in || here < 0 || end < here) {
+    throw std::runtime_error("cannot size the stream to check " + what);
+  }
+  const auto left = static_cast<uint64_t>(end - here);
+  if (item_bytes != 0 && count > left / item_bytes) {
+    throw std::runtime_error(what + " (" + std::to_string(count) + " x " +
+                             std::to_string(item_bytes) +
+                             " bytes) exceeds the " + std::to_string(left) +
+                             " bytes left in the stream");
+  }
+}
 
 void WriteMatrix(std::ostream& out, const Matrix& m) {
   Put32(out, kMatrixMagic);
@@ -51,6 +71,8 @@ Matrix ReadMatrix(std::istream& in) {
   }
   const uint32_t rows = Get32(in);
   const uint32_t cols = Get32(in);
+  // uint32 x uint32 cannot overflow uint64.
+  CheckFitsInStream(in, uint64_t{rows} * cols, sizeof(float), "matrix shape");
   Matrix m(rows, cols);
   in.read(reinterpret_cast<char*>(m.data()),
           static_cast<std::streamsize>(m.size() * sizeof(float)));

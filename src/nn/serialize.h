@@ -2,6 +2,7 @@
 // model checkpoints and pre-trained embedding tables.
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -13,8 +14,16 @@ namespace pathrank::nn {
 /// Writes one matrix (shape header + row-major floats).
 void WriteMatrix(std::ostream& out, const Matrix& m);
 
-/// Reads one matrix; throws std::runtime_error on malformed input.
+/// Reads one matrix; throws std::runtime_error on malformed input,
+/// including a shape header larger than the rest of the stream.
 Matrix ReadMatrix(std::istream& in);
+
+/// Throws std::runtime_error unless `count` items of `item_bytes` each
+/// (overflow-safe) fit in what is left of `in`. Loaders call it before
+/// allocating, so a corrupt header fails cleanly instead of allocating
+/// first. `what` names the field in the message.
+void CheckFitsInStream(std::istream& in, uint64_t count, uint64_t item_bytes,
+                       const std::string& what);
 
 /// Saves named parameter values (not gradients) to `path`.
 void SaveParameters(const ParameterList& params, const std::string& path);

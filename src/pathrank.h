@@ -18,9 +18,8 @@
 //
 //   serving::ServingEngine engine(network,
 //                                 serving::ModelSnapshot::Capture(model));
-//   auto ranked  = engine.Rank(source, destination);         // one query
-//   auto batches = engine.RankBatch(queries);                // many queries
-//   auto scored  = engine.ScoreBatch(candidatePaths);        // own candidates
+//   auto ranked = engine.Rank(source, destination);   // one query
+//   auto scored = engine.ScoreBatch(candidatePaths);  // own candidates
 //
 // See docs/serving.md for the threading and determinism contract.
 #pragma once

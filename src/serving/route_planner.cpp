@@ -157,9 +157,9 @@ RoutePlanner::CacheValue RoutePlanner::Enumerate(
 
   auto set = std::make_shared<CandidateSet>();
   set->algo = algo;
-  set->paths = GenerateCandidates(network, request.source,
-                                  request.destination, gen, cancel,
-                                  engine.get());
+  set->paths = data::GenerateCandidatePaths(network, request.source,
+                                            request.destination, gen, cancel,
+                                            engine.get());
   return set;
 }
 

@@ -49,23 +49,14 @@ std::vector<ScoredPath> AssembleRanking(std::vector<routing::Path> paths,
 
 }  // namespace
 
-std::vector<routing::Path> GenerateCandidates(
-    const graph::RoadNetwork& network, graph::VertexId source,
-    graph::VertexId destination, const data::CandidateGenConfig& gen,
-    const CancelToken* cancel, routing::ShortestPathEngine* engine) {
-  // Single source of truth with training-data generation: deployment-time
-  // candidates always match the training distribution.
-  return data::GenerateCandidatePaths(network, source, destination, gen,
-                                      cancel, engine);
-}
-
 /// One scoring slot: a lock plus the per-caller activation scratch the
 /// const inference path writes into. No parameters live here — every
 /// replica scores against the one shared snapshot.
 struct ServingEngine::Replica {
   /// Replicas share kEngineReplica (a caller holds exactly one), which
-  /// ranks after pool.region: RankBatch chunks take them under the region
-  /// owner's pool.region.
+  /// ranks after pool.region: callers that Rank from inside pool chunks
+  /// (pathrank_cli serve's self-drive) take them under the region owner's
+  /// pool.region.
   common::Mutex mu{common::LockRank::kEngineReplica, "engine.replica"};
   core::InferenceScratch scratch GUARDED_BY(mu);
 };
@@ -130,7 +121,7 @@ std::vector<float> ServingEngine::ScoreSequences(
   Replica& replica = *replicas_[idx];
   common::MutexLock lock(replica.mu);
   // Score serially on this thread: parallelism lives across queries (many
-  // callers / RankBatch shards), and a caller that holds a replica lock
+  // callers or pool shards), and a caller that holds a replica lock
   // must never block on the global pool — a pool worker could be waiting
   // on this very lock.
   SerialRegionScope serial;
@@ -145,30 +136,10 @@ std::vector<ScoredPath> ServingEngine::Rank(
 std::vector<ScoredPath> ServingEngine::Rank(
     graph::VertexId source, graph::VertexId destination,
     const data::CandidateGenConfig& gen) const {
-  return ScoreBatch(GenerateCandidates(*network_, source, destination, gen));
-}
-
-std::vector<std::vector<ScoredPath>> ServingEngine::RankBatch(
-    const std::vector<RankQuery>& queries) const {
-  return RankBatch(queries, options_.candidates);
-}
-
-std::vector<std::vector<ScoredPath>> ServingEngine::RankBatch(
-    const std::vector<RankQuery>& queries,
-    const data::CandidateGenConfig& gen) const {
-  std::vector<std::vector<ScoredPath>> results(queries.size());
-  if (queries.empty()) return results;
-  // Each query is handled end-to-end by one worker; per-query slots make
-  // the output order (and every score) independent of scheduling.
-  ParallelForShards(0, queries.size(),
-                    [&](size_t /*shard*/, size_t lo, size_t hi) {
-                      for (size_t q = lo; q < hi; ++q) {
-                        results[q] =
-                            Rank(queries[q].source, queries[q].destination,
-                                 gen);
-                      }
-                    });
-  return results;
+  // Single source of truth with training-data generation: deployment-time
+  // candidates always match the training distribution.
+  return ScoreBatch(
+      data::GenerateCandidatePaths(*network_, source, destination, gen));
 }
 
 std::vector<ScoredPath> ServingEngine::ScoreBatch(

@@ -5,7 +5,7 @@
 // no parameter copies — so the pool is cheap to size at one replica per
 // expected concurrent caller.
 //
-// Thread-safety contract: Rank / RankBatch / ScoreBatch may be called
+// Thread-safety contract: Rank / ScoreBatch may be called
 // concurrently from any number of threads on one shared engine. Scores
 // are bitwise identical to the single-threaded path for any thread or
 // replica count (the inference kernels are deterministic and replicas
@@ -22,7 +22,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/deadline.h"
 #include "common/thread_annotations.h"
 #include "core/model.h"
 #include "data/candidate_generation.h"
@@ -48,22 +47,10 @@ struct RankQuery {
 struct ServingOptions {
   /// Scoring replicas (scratch + lock). 0 = one per global pool thread.
   size_t num_replicas = 0;
-  /// Candidate strategy used by Rank/RankBatch when no per-call config is
+  /// Candidate strategy used by Rank when no per-call config is
   /// given (defaults to D-TkDI, the paper's deployment strategy).
   data::CandidateGenConfig candidates;
 };
-
-/// Generates candidate paths for one query with the configured strategy —
-/// the advanced-routing half of Rank, exposed for tools and tests.
-/// `cancel` (optional) threads the request deadline into the enumeration
-/// loops; an expired token yields the candidates found so far. `engine`
-/// (optional, borrowed, not thread-safe) runs the Yen spur searches —
-/// nullptr keeps the historical owned-Dijkstra behaviour bitwise intact.
-std::vector<routing::Path> GenerateCandidates(
-    const graph::RoadNetwork& network, graph::VertexId source,
-    graph::VertexId destination, const data::CandidateGenConfig& gen,
-    const CancelToken* cancel = nullptr,
-    routing::ShortestPathEngine* engine = nullptr);
 
 /// Replica-pool serving facade. The engine borrows the network (caller
 /// keeps it alive) and shares ownership of the snapshot.
@@ -90,15 +77,6 @@ class ServingEngine {
   std::vector<ScoredPath> Rank(graph::VertexId source,
                                graph::VertexId destination,
                                const data::CandidateGenConfig& gen) const;
-
-  /// Ranks a batch of queries, sharding them across the global worker
-  /// pool; results[i] corresponds to queries[i] and is bitwise identical
-  /// to Rank(queries[i]). Thread-safe.
-  std::vector<std::vector<ScoredPath>> RankBatch(
-      const std::vector<RankQuery>& queries) const;
-  std::vector<std::vector<ScoredPath>> RankBatch(
-      const std::vector<RankQuery>& queries,
-      const data::CandidateGenConfig& gen) const;
 
   /// Scores externally supplied candidate paths (sorted descending).
   /// Thread-safe.

@@ -159,7 +159,7 @@ TEST(HttpScore, RoundTripBitwiseEqualToInProcessScoreBatch) {
   ServerFixture fx;
   data::CandidateGenConfig gen;
   gen.k = 5;
-  const auto paths = GenerateCandidates(fx.network, 0, 63, gen);
+  const auto paths = data::GenerateCandidatePaths(fx.network, 0, 63, gen);
   ASSERT_FALSE(paths.empty());
 
   json::Array path_array;

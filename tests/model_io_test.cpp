@@ -89,9 +89,11 @@ TEST(ModelIo, RejectsGarbage) {
   std::remove(path.c_str());
 }
 
-/// Saves a valid checkpoint, overwrites the 32-bit little-endian header
-/// word at `offset`, and expects LoadModel to reject the file cleanly.
-void ExpectCorruptHeaderWordRejected(size_t offset, uint32_t value) {
+/// Saves a valid checkpoint, overwrites the little-endian header word at
+/// `offset` (sizeof(Word) bytes), and expects LoadModel to reject the file
+/// cleanly.
+template <typename Word>
+void ExpectCorruptHeaderWordRejected(size_t offset, Word value) {
   const std::string path = TempPath("pr_model_corrupt.bin");
   SaveModel(PathRankModel(16, SmallConfig()), path);
   {
@@ -119,6 +121,13 @@ TEST(ModelIo, RejectsOutOfRangePooling) {
 TEST(ModelIo, RejectsZeroDimensions) {
   ExpectCorruptHeaderWordRejected(16, 0);  // embedding_dim (low word)
   ExpectCorruptHeaderWordRejected(24, 0);  // hidden_size (low word)
+}
+
+TEST(ModelIo, RejectsDimensionsLargerThanTheFile) {
+  // Used to allocate first (std::bad_alloc) instead of failing cleanly.
+  ExpectCorruptHeaderWordRejected(16, uint64_t{1} << 40);  // embedding_dim
+  ExpectCorruptHeaderWordRejected(24, uint64_t{1} << 40);  // hidden_size
+  ExpectCorruptHeaderWordRejected(8, uint64_t{1} << 40);   // vocab
 }
 
 TEST(MultiTask, AuxOutputsPresentAndBounded) {

@@ -69,16 +69,13 @@ TEST(GradCheck, LinearLayer) {
 
   auto loss_fn = [&]() {
     Matrix y;
-    LinearLayer& mutable_fc = fc;
-    mutable_fc.Forward(x, &y);
+    fc.Forward(x, &y);
     return WeightedSum(y, r);
   };
 
-  Matrix y;
-  fc.Forward(x, &y);
   for (Parameter* p : fc.Parameters()) p->ZeroGrad();
   Matrix dx;
-  fc.Backward(r, &dx);
+  fc.Backward(x, r, &dx);
 
   CheckParameterGradient(*fc.Parameters()[0], loss_fn,
                          fc.Parameters()[0]->grad, "linear W");
@@ -141,17 +138,19 @@ TEST_P(RecurrentGradCheck, ParameterAndInputGradients) {
   Matrix r(2, 3);
   FillRandom(&r, rng);
 
+  RecurrentScratch tape;
+  tape.record = true;
   auto loss_fn = [&]() {
     Matrix h;
-    cell->Forward(x_steps, lengths, &h);
+    cell->Forward(x_steps, lengths, &tape, &h);
     return WeightedSum(h, r);
   };
 
   Matrix h;
-  cell->Forward(x_steps, lengths, &h);
+  cell->Forward(x_steps, lengths, &tape, &h);
   for (Parameter* p : cell->Parameters()) p->ZeroGrad();
   std::vector<Matrix> dx;
-  cell->Backward(r, &dx);
+  cell->Backward(x_steps, lengths, tape, r, &dx);
 
   for (Parameter* p : cell->Parameters()) {
     CheckParameterGradient(*p, loss_fn, p->grad,
@@ -194,21 +193,23 @@ TEST_P(RecurrentGradCheck, PerStepGradients) {
     }
   }
 
+  RecurrentScratch tape;
+  tape.record = true;
   auto loss_fn = [&]() {
     Matrix h;
-    cell->Forward(x_steps, lengths, &h);
+    cell->Forward(x_steps, lengths, &tape, &h);
     double sum = 0.0;
     for (size_t t = 0; t < 3; ++t) {
-      sum += WeightedSum(cell->hidden_state(t), r[t]);
+      sum += WeightedSum(tape.h[t + 1], r[t]);
     }
     return sum;
   };
 
   Matrix h;
-  cell->Forward(x_steps, lengths, &h);
+  cell->Forward(x_steps, lengths, &tape, &h);
   for (Parameter* p : cell->Parameters()) p->ZeroGrad();
   std::vector<Matrix> dx;
-  cell->BackwardSteps(r, &dx);
+  cell->BackwardSteps(x_steps, lengths, tape, r, &dx);
 
   for (Parameter* p : cell->Parameters()) {
     CheckParameterGradient(*p, loss_fn, p->grad,
@@ -235,9 +236,10 @@ TEST_P(RecurrentGradCheck, HiddenStateAccessorMatchesFinal) {
   std::vector<Matrix> x_steps(4, Matrix(2, 2));
   for (auto& x : x_steps) FillRandom(&x, rng);
   const std::vector<int32_t> lengths{4, 4};
+  RecurrentScratch scratch;
   Matrix h;
-  cell->Forward(x_steps, lengths, &h);
-  const Matrix& last = cell->hidden_state(3);
+  cell->Forward(x_steps, lengths, &scratch, &h);
+  const Matrix& last = scratch.h[4];  // state after step 3
   for (size_t i = 0; i < h.size(); ++i) {
     EXPECT_EQ(h.data()[i], last.data()[i]);
   }
@@ -249,12 +251,14 @@ TEST_P(RecurrentGradCheck, MaskedStepsGetZeroInputGradient) {
   const std::vector<int32_t> lengths{1};  // only step 0 is real
   std::vector<Matrix> x_steps(3, Matrix(1, 2));
   for (auto& x : x_steps) FillRandom(&x, rng);
+  RecurrentScratch tape;
+  tape.record = true;
   Matrix h;
-  cell->Forward(x_steps, lengths, &h);
+  cell->Forward(x_steps, lengths, &tape, &h);
   Matrix r(1, 3);
   FillRandom(&r, rng);
   std::vector<Matrix> dx;
-  cell->Backward(r, &dx);
+  cell->Backward(x_steps, lengths, tape, r, &dx);
   for (size_t t = 1; t < 3; ++t) {
     for (size_t i = 0; i < dx[t].size(); ++i) {
       EXPECT_EQ(dx[t].data()[i], 0.0f)

@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <sstream>
 
 #include "nn/embedding_layer.h"
 #include "nn/linear.h"
@@ -111,12 +112,13 @@ TEST_P(RecurrentShapes, FinalStateShapeAndDeterminism) {
     }
   }
   const std::vector<int32_t> lengths{4, 2};
+  RecurrentScratch scratch;
   Matrix h1;
-  cell->Forward(x_steps, lengths, &h1);
+  cell->Forward(x_steps, lengths, &scratch, &h1);
   ASSERT_EQ(h1.rows(), 2u);
   ASSERT_EQ(h1.cols(), 5u);
   Matrix h2;
-  cell->Forward(x_steps, lengths, &h2);
+  cell->Forward(x_steps, lengths, &scratch, &h2);
   for (size_t i = 0; i < h1.size(); ++i) {
     EXPECT_EQ(h1.data()[i], h2.data()[i]);
   }
@@ -135,24 +137,46 @@ TEST_P(RecurrentShapes, MaskingMatchesTruncatedSequence) {
       x.data()[i] = static_cast<float>(data_rng.NextUniform(-1, 1));
     }
   }
+  RecurrentScratch scratch;
   // Padded run: length 3 of 5.
   Matrix h_padded;
-  cell->Forward(x_long, {3}, &h_padded);
+  cell->Forward(x_long, {3}, &scratch, &h_padded);
   // Truncated run: only the first 3 steps.
   std::vector<Matrix> x_short(x_long.begin(), x_long.begin() + 3);
   Matrix h_short;
-  cell->Forward(x_short, {3}, &h_short);
+  cell->Forward(x_short, {3}, &scratch, &h_short);
   for (size_t i = 0; i < h_short.size(); ++i) {
     EXPECT_NEAR(h_padded.data()[i], h_short.data()[i], 1e-6f);
   }
 }
 
 TEST_P(RecurrentShapes, BackwardRequiresForward) {
+  // Backward reads the tape a Forward recorded; a tape that did not record
+  // these steps must be rejected, not read.
   pathrank::Rng rng(10);
   auto cell = MakeRecurrentLayer(GetParam(), 2, 3, rng, "cell");
+  const std::vector<Matrix> x_steps(3, Matrix(1, 2));
+  const std::vector<int32_t> lengths{3};
   Matrix d(1, 3);
   std::vector<Matrix> dx;
-  EXPECT_THROW(cell->Backward(d, &dx), std::logic_error);
+
+  RecurrentScratch empty;
+  empty.record = true;
+  EXPECT_THROW(cell->Backward(x_steps, lengths, empty, d, &dx),
+               std::logic_error);
+
+  RecurrentScratch inference;  // reuses one slot per gate: no tape
+  Matrix h;
+  cell->Forward(x_steps, lengths, &inference, &h);
+  EXPECT_THROW(cell->Backward(x_steps, lengths, inference, d, &dx),
+               std::logic_error);
+
+  RecurrentScratch tape;
+  tape.record = true;
+  cell->Forward(x_steps, lengths, &tape, &h);
+  const std::vector<Matrix> longer(4, Matrix(1, 2));
+  EXPECT_THROW(cell->Backward(longer, {4}, tape, d, &dx), std::logic_error);
+  EXPECT_NO_THROW(cell->Backward(x_steps, lengths, tape, d, &dx));
 }
 
 INSTANTIATE_TEST_SUITE_P(Cells, RecurrentShapes,
@@ -229,6 +253,19 @@ TEST(Serialize, ParametersRoundTripByName) {
   EXPECT_EQ(a2.value.at(1, 2), 1.5f);
   EXPECT_EQ(b2.value.at(0, 0), -0.5f);
   std::remove(path.c_str());
+}
+
+TEST(Serialize, ReadMatrixRejectsShapeLargerThanTheStream) {
+  // A 0xFFFFFFFF x 0xFFFFFFFF header used to reach the allocator
+  // (std::length_error) instead of failing as malformed input.
+  std::stringstream in;
+  // Matrix magic "PRM1", then rows and cols.
+  for (uint32_t word : {0x50524D31u, 0xFFFFFFFFu, 0xFFFFFFFFu}) {
+    in.write(reinterpret_cast<const char*>(&word), sizeof(word));
+  }
+  const float payload[4] = {};
+  in.write(reinterpret_cast<const char*>(payload), sizeof(payload));
+  EXPECT_THROW(ReadMatrix(in), std::runtime_error);
 }
 
 TEST(Serialize, LoadRejectsMissingParameter) {

@@ -1,7 +1,7 @@
 // RoutePlanner: the online query -> candidates -> ranked-paths pipeline.
 // Asserts (1) ranked output is bitwise identical to the offline
-// GenerateCandidates + ServingEngine::ScoreBatch composition, (2) a cache
-// hit returns bitwise-identical results (and byte-identical HTTP bodies
+// data::GenerateCandidatePaths + ServingEngine::ScoreBatch composition,
+// (2) a cache hit returns bitwise-identical results (and byte-identical HTTP bodies
 // modulo the cache_hit flag), (3) the LRU evicts and touches correctly,
 // (4) the error taxonomy (unknown vertex, s == d, unreachable, bad k)
 // maps to 4xx over HTTP with stable status slugs, (5) the --spur-engine
@@ -95,7 +95,8 @@ TEST(RoutePlanner, MatchesOfflinePipelineBitwise) {
   const graph::VertexId destination = 63;
 
   const auto offline = fx.engine.ScoreBatch(
-      GenerateCandidates(fx.network, source, destination, GenConfig()));
+      data::GenerateCandidatePaths(fx.network, source, destination,
+                                   GenConfig()));
   ASSERT_GT(offline.size(), 1u);
 
   const RouteResult result = fx.planner.Plan({source, destination});
@@ -113,7 +114,7 @@ TEST(RoutePlanner, PerRequestKOverridesDefault) {
   auto gen = GenConfig();
   gen.k = 2;
   const auto offline = fx.engine.ScoreBatch(
-      GenerateCandidates(fx.network, 0, 63, gen));
+      data::GenerateCandidatePaths(fx.network, 0, 63, gen));
 
   const RouteResult result = fx.planner.Plan({0, 63, /*k=*/2});
   ASSERT_EQ(result.status, RouteStatus::kOk);
@@ -325,7 +326,7 @@ std::string RouteBody(graph::VertexId source, graph::VertexId destination,
 TEST(RouteHttp, RoundTripMatchesOfflinePipelineBitwise) {
   RouteServerFixture fx;
   const auto offline = fx.engine.ScoreBatch(
-      GenerateCandidates(fx.network, 3, 59, GenConfig()));
+      data::GenerateCandidatePaths(fx.network, 3, 59, GenConfig()));
   ASSERT_GT(offline.size(), 1u);
 
   HttpClient client;

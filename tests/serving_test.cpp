@@ -191,7 +191,8 @@ struct EngineFixture {
 TEST(ServingEngine, ScoreBatchMatchesTrainingForward) {
   EngineFixture fx;
   const ServingEngine engine(fx.network, fx.model);
-  const auto candidates = GenerateCandidates(fx.network, 0, 63, fx.gen);
+  const auto candidates =
+      data::GenerateCandidatePaths(fx.network, 0, 63, fx.gen);
   ASSERT_GE(candidates.size(), 2u);
 
   // Reference: the mutable training-path scores for the same batch.
@@ -212,24 +213,6 @@ TEST(ServingEngine, ScoreBatchMatchesTrainingForward) {
     EXPECT_EQ(expected[i], scored[i].score);
     if (i > 0) {
       EXPECT_GE(scored[i - 1].score, scored[i].score);
-    }
-  }
-}
-
-TEST(ServingEngine, RankBatchMatchesSingleQueryRank) {
-  EngineFixture fx;
-  const ServingEngine engine(fx.network, fx.model);
-  std::vector<RankQuery> queries = {
-      {0, 63}, {7, 56}, {3, 60}, {21, 42}, {0, 63}, {14, 49}};
-  const auto batched = engine.RankBatch(queries, fx.gen);
-  ASSERT_EQ(batched.size(), queries.size());
-  for (size_t q = 0; q < queries.size(); ++q) {
-    const auto single =
-        engine.Rank(queries[q].source, queries[q].destination, fx.gen);
-    ASSERT_EQ(single.size(), batched[q].size()) << "query " << q;
-    for (size_t i = 0; i < single.size(); ++i) {
-      EXPECT_EQ(single[i].score, batched[q][i].score);
-      EXPECT_EQ(single[i].path.vertices, batched[q][i].path.vertices);
     }
   }
 }
@@ -285,9 +268,10 @@ TEST(ServingEngine, ConcurrentRankIsBitwiseEqualToSerial) {
   EXPECT_EQ(mismatches.load(), 0);
 }
 
-TEST(ServingEngine, ConcurrentRankBatchAndRankCoexist) {
-  // A RankBatch running on the global pool while external threads issue
-  // single queries must neither deadlock nor change any result.
+TEST(ServingEngine, PoolShardedRankAndExternalRankCoexist) {
+  // Rank called from inside global-pool shards (pathrank_cli serve's
+  // self-drive) while external threads issue single queries must neither
+  // deadlock nor change any result.
   EngineFixture fx;
   ServingOptions options;
   options.num_replicas = 2;
@@ -296,7 +280,23 @@ TEST(ServingEngine, ConcurrentRankBatchAndRankCoexist) {
 
   const std::vector<RankQuery> queries = {{0, 63}, {7, 56}, {3, 60},
                                           {21, 42}, {14, 49}, {8, 55}};
-  const auto expected = engine.RankBatch(queries);
+  // Each shard writes its own per-query slots, so the result does not
+  // depend on scheduling.
+  auto rank_in_pool = [&] {
+    std::vector<std::vector<ScoredPath>> results(queries.size());
+    ParallelForShards(0, queries.size(),
+                      [&](size_t /*shard*/, size_t lo, size_t hi) {
+                        for (size_t q = lo; q < hi; ++q) {
+                          results[q] = engine.Rank(queries[q].source,
+                                                   queries[q].destination);
+                        }
+                      });
+    return results;
+  };
+  std::vector<std::vector<ScoredPath>> expected;
+  for (const auto& q : queries) {
+    expected.push_back(engine.Rank(q.source, q.destination));
+  }
 
   std::atomic<int> mismatches{0};
   std::thread external([&] {
@@ -307,7 +307,7 @@ TEST(ServingEngine, ConcurrentRankBatchAndRankCoexist) {
     }
   });
   for (int round = 0; round < 5; ++round) {
-    const auto batched = engine.RankBatch(queries);
+    const auto batched = rank_in_pool();
     for (size_t q = 0; q < queries.size(); ++q) {
       if (batched[q].size() != expected[q].size()) {
         mismatches.fetch_add(1);
@@ -327,7 +327,6 @@ TEST(ServingEngine, ConcurrentRankBatchAndRankCoexist) {
 TEST(ServingEngine, EmptyBatchAndEmptyPathsAreFine) {
   EngineFixture fx;
   const ServingEngine engine(fx.network, fx.model);
-  EXPECT_TRUE(engine.RankBatch({}).empty());
   EXPECT_TRUE(engine.ScoreBatch({}).empty());
 }
 
