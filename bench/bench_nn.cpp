@@ -76,9 +76,11 @@ void BM_GruForwardBackward(benchmark::State& state) {
   std::vector<Matrix> d_x;
   RecurrentScratch tape;
   tape.record = true;
+  Gradients grads;
+  ZeroGradients(gru.Parameters(), &grads);
   for (auto _ : state) {
     gru.Forward(x_steps, lengths, &tape, &h);
-    gru.Backward(x_steps, lengths, tape, d_h, &d_x);
+    gru.Backward(x_steps, lengths, tape, d_h, grads, &d_x);
     benchmark::DoNotOptimize(d_x);
   }
   state.SetItemsProcessed(

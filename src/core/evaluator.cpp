@@ -27,7 +27,7 @@ void ScoreQuery(const PathRankModel& model, InferenceScratch* scratch,
     truth->push_back(cand.label);
   }
   const auto batch = nn::SequenceBatch::FromSequences(seqs);
-  const std::vector<float> scores = model.ForwardInference(batch, scratch);
+  const std::vector<float> scores = model.Forward(batch, scratch);
   predicted->assign(scores.begin(), scores.end());
 }
 

@@ -1,6 +1,7 @@
 #include "core/model.h"
 
 #include <cmath>
+#include <stdexcept>
 
 #include "common/logging.h"
 
@@ -61,46 +62,36 @@ void MeanPoolBackward(const nn::Matrix& d_pooled,
 PathRankModel::PathRankModel(size_t vocab_size, const PathRankConfig& config,
                              InitMode init)
     : config_(config) {
-  const size_t head_in =
-      config.bidirectional ? 2 * config.hidden_size : config.hidden_size;
-  if (init == InitMode::kSkipInit) {
-    // Replica/snapshot path: allocate every tensor but skip the RNG draws
-    // — the caller overwrites all values (CopyParametersFrom, LoadModel).
-    embedding_ = std::make_unique<nn::EmbeddingLayer>(
-        vocab_size, config.embedding_dim, nn::kSkipInit);
-    fwd_cell_ = nn::MakeRecurrentLayer(config.cell, config.embedding_dim,
-                                       config.hidden_size, nn::kSkipInit,
-                                       "cell_fwd");
+  if (config.embedding_dim == 0 || config.hidden_size == 0) {
+    throw std::invalid_argument(
+        "PathRankModel needs embedding_dim and hidden_size >= 1");
+  }
+  // `weights` is the seeded Rng, or nn::kSkipInit: snapshot and checkpoint
+  // builders overwrite every value (CopyParametersFrom, LoadModel), so
+  // they skip the O(vocab x dim) RNG draws.
+  auto build = [&](auto& weights) {
+    const size_t E = config.embedding_dim;
+    const size_t H = config.hidden_size;
+    embedding_ = std::make_unique<nn::EmbeddingLayer>(vocab_size, E, weights);
+    fwd_cell_ = nn::MakeRecurrentLayer(config.cell, E, H, weights, "cell_fwd");
     if (config.bidirectional) {
-      bwd_cell_ = nn::MakeRecurrentLayer(config.cell, config.embedding_dim,
-                                         config.hidden_size, nn::kSkipInit,
-                                         "cell_bwd");
+      bwd_cell_ =
+          nn::MakeRecurrentLayer(config.cell, E, H, weights, "cell_bwd");
     }
-    head_ = std::make_unique<nn::LinearLayer>(head_in, 1, nn::kSkipInit,
-                                              "head");
-    if (config.multi_task) {
-      aux_length_head_ = std::make_unique<nn::LinearLayer>(
-          head_in, 1, nn::kSkipInit, "aux_len");
-      aux_time_head_ = std::make_unique<nn::LinearLayer>(
-          head_in, 1, nn::kSkipInit, "aux_time");
-    }
-  } else {
-    pathrank::Rng rng(config.seed);
-    embedding_ = std::make_unique<nn::EmbeddingLayer>(
-        vocab_size, config.embedding_dim, rng);
-    fwd_cell_ = nn::MakeRecurrentLayer(config.cell, config.embedding_dim,
-                                       config.hidden_size, rng, "cell_fwd");
-    if (config.bidirectional) {
-      bwd_cell_ = nn::MakeRecurrentLayer(config.cell, config.embedding_dim,
-                                         config.hidden_size, rng, "cell_bwd");
-    }
-    head_ = std::make_unique<nn::LinearLayer>(head_in, 1, rng, "head");
+    const size_t head_in = config.bidirectional ? 2 * H : H;
+    head_ = std::make_unique<nn::LinearLayer>(head_in, 1, weights, "head");
     if (config.multi_task) {
       aux_length_head_ =
-          std::make_unique<nn::LinearLayer>(head_in, 1, rng, "aux_len");
+          std::make_unique<nn::LinearLayer>(head_in, 1, weights, "aux_len");
       aux_time_head_ =
-          std::make_unique<nn::LinearLayer>(head_in, 1, rng, "aux_time");
+          std::make_unique<nn::LinearLayer>(head_in, 1, weights, "aux_time");
     }
+  };
+  if (init == InitMode::kSkipInit) {
+    build(nn::kSkipInit);
+  } else {
+    pathrank::Rng rng(config.seed);
+    build(rng);
   }
   embedding_->set_frozen(!config.finetune_embedding);
 }
@@ -109,28 +100,18 @@ void PathRankModel::InitializeEmbedding(const nn::Matrix& table) {
   embedding_->LoadTable(table);
 }
 
-std::vector<float> PathRankModel::Forward(const nn::SequenceBatch& batch) {
-  return ForwardFull(batch).scores;
+std::vector<float> PathRankModel::Forward(const nn::SequenceBatch& batch,
+                                          InferenceScratch* scratch) const {
+  return ForwardFull(batch, scratch).scores;
 }
 
 PathRankModel::Outputs PathRankModel::ForwardFull(
-    const nn::SequenceBatch& batch) {
-  // The inference body, run into the tape with per-step gate slots.
-  tape_.batch = batch;
-  tape_.fwd_cell.record = true;
-  tape_.bwd_cell.record = true;
-  return ForwardInferenceFull(tape_.batch, &tape_);
-}
-
-std::vector<float> PathRankModel::ForwardInference(
-    const nn::SequenceBatch& batch, InferenceScratch* scratch) const {
-  return ForwardInferenceFull(batch, scratch).scores;
-}
-
-PathRankModel::Outputs PathRankModel::ForwardInferenceFull(
     const nn::SequenceBatch& batch, InferenceScratch* scratch) const {
   PR_CHECK(batch.batch_size > 0 && batch.max_len > 0);
   InferenceScratch& s = *scratch;
+  s.fwd_cell.record = s.record;
+  s.bwd_cell.record = s.record;
+  if (s.record && &batch != &s.batch) s.batch = batch;
   const size_t T = batch.max_len;
   const size_t B = batch.batch_size;
   const size_t H = config_.hidden_size;
@@ -183,23 +164,48 @@ PathRankModel::Outputs PathRankModel::ForwardInferenceFull(
   return out;
 }
 
-void PathRankModel::Backward(const std::vector<float>& d_scores) {
-  BackwardFull(d_scores, {}, {});
+void PathRankModel::Backward(const InferenceScratch& tape,
+                             std::span<const float> d_scores,
+                             nn::Gradients* grads) const {
+  BackwardFull(tape, d_scores, {}, {}, grads);
 }
 
-void PathRankModel::BackwardFull(const std::vector<float>& d_scores,
-                                 const std::vector<float>& d_aux_length,
-                                 const std::vector<float>& d_aux_time) {
-  const InferenceScratch& tape = tape_;
+void PathRankModel::BackwardFull(const InferenceScratch& tape,
+                                 std::span<const float> d_scores,
+                                 std::span<const float> d_aux_length,
+                                 std::span<const float> d_aux_time,
+                                 nn::Gradients* grads) const {
+  PR_CHECK(tape.record) << "Backward needs a tape that recorded a Forward";
   const size_t B = tape.batch.batch_size;
   const size_t H = config_.hidden_size;
   const size_t T = tape.batch.max_len;
   PR_CHECK(d_scores.size() == B) << "gradient batch-size mismatch";
+  PR_CHECK(grads->size() == Parameters().size())
+      << "gradient set size mismatch";
+
+  // Each layer's slice of `grads`, taken in Parameters() order.
+  nn::GradientSpan rest(*grads);
+  auto take = [&rest](size_t n) {
+    const nn::GradientSpan slice = rest.first(n);
+    rest = rest.subspan(n);
+    return slice;
+  };
+  nn::Matrix& embedding_grad = take(1)[0];
+  const nn::GradientSpan fwd_grads = take(fwd_cell_->Parameters().size());
+  const nn::GradientSpan bwd_grads =
+      bwd_cell_ != nullptr ? take(bwd_cell_->Parameters().size())
+                           : nn::GradientSpan{};
+  const size_t head_size = head_->Parameters().size();
+  const nn::GradientSpan head_grads = take(head_size);
+  const nn::GradientSpan aux_length_grads =
+      config_.multi_task ? take(head_size) : nn::GradientSpan{};
+  const nn::GradientSpan aux_time_grads =
+      config_.multi_task ? take(head_size) : nn::GradientSpan{};
 
   // Through the sigmoid: dL/dlogit = dL/ds * s * (1 - s), with s
   // recomputed from the recorded logit.
   auto d_logits_of = [&](const nn::Matrix& logits,
-                         const std::vector<float>& d_out) {
+                         std::span<const float> d_out) {
     nn::Matrix d_logits(B, 1);
     for (size_t b = 0; b < B; ++b) {
       const float s = Sigmoid(logits.at(b, 0));
@@ -210,43 +216,49 @@ void PathRankModel::BackwardFull(const std::vector<float>& d_scores,
 
   nn::Matrix d_concat;
   head_->Backward(tape.concat_h, d_logits_of(tape.logits, d_scores),
-                  &d_concat);
+                  head_grads, &d_concat);
 
   // Auxiliary heads contribute to the shared representation's gradient.
-  auto add_aux = [&](nn::LinearLayer& aux_head, const nn::Matrix& logits,
-                     const std::vector<float>& d_out) {
+  auto add_aux = [&](const nn::LinearLayer& aux_head,
+                     const nn::Matrix& logits, std::span<const float> d_out,
+                     nn::GradientSpan aux_grads) {
     if (d_out.empty()) return;
     PR_CHECK(d_out.size() == B);
     nn::Matrix d_aux_concat;
-    aux_head.Backward(tape.concat_h, d_logits_of(logits, d_out),
+    aux_head.Backward(tape.concat_h, d_logits_of(logits, d_out), aux_grads,
                       &d_aux_concat);
     d_concat.Add(d_aux_concat);
   };
   if (config_.multi_task) {
-    add_aux(*aux_length_head_, tape.aux_length_logits, d_aux_length);
-    add_aux(*aux_time_head_, tape.aux_time_logits, d_aux_time);
+    add_aux(*aux_length_head_, tape.aux_length_logits, d_aux_length,
+            aux_length_grads);
+    add_aux(*aux_time_head_, tape.aux_time_logits, d_aux_time,
+            aux_time_grads);
   } else {
     PR_CHECK(d_aux_length.empty() && d_aux_time.empty())
         << "auxiliary gradients require multi_task";
   }
 
-  auto backprop_cell = [&](nn::RecurrentLayer& cell,
+  auto backprop_cell = [&](const nn::RecurrentLayer& cell,
                            const nn::RecurrentScratch& cell_tape,
                            const std::vector<nn::Matrix>& x_steps,
                            const nn::SequenceBatch& cell_batch,
                            const nn::Matrix& d_repr,
+                           nn::GradientSpan cell_grads,
                            std::vector<nn::Matrix>* d_x_steps) {
     if (config_.pooling == Pooling::kMean) {
       std::vector<nn::Matrix> d_h_steps;
       MeanPoolBackward(d_repr, cell_batch.lengths, T, &d_h_steps);
       cell.BackwardSteps(x_steps, cell_batch.lengths, cell_tape, d_h_steps,
-                         d_x_steps);
+                         cell_grads, d_x_steps);
     } else {
       cell.Backward(x_steps, cell_batch.lengths, cell_tape, d_repr,
-                    d_x_steps);
+                    cell_grads, d_x_steps);
     }
+    if (embedding_->frozen()) return;  // the optimizer never reads it
     for (size_t t = 0; t < T; ++t) {
-      embedding_->AccumulateGrad(cell_batch, t, (*d_x_steps)[t]);
+      embedding_->AccumulateGrad(cell_batch, t, (*d_x_steps)[t],
+                                 &embedding_grad);
     }
   };
 
@@ -260,12 +272,12 @@ void PathRankModel::BackwardFull(const std::vector<float>& d_scores,
       std::copy(src + H, src + 2 * H, d_repr_bwd.row(b));
     }
     backprop_cell(*fwd_cell_, tape.fwd_cell, tape.x_steps, tape.batch,
-                  d_repr_fwd, &d_x_steps);
+                  d_repr_fwd, fwd_grads, &d_x_steps);
     backprop_cell(*bwd_cell_, tape.bwd_cell, tape.x_steps_rev,
-                  tape.batch_rev, d_repr_bwd, &d_x_steps);
+                  tape.batch_rev, d_repr_bwd, bwd_grads, &d_x_steps);
   } else {
     backprop_cell(*fwd_cell_, tape.fwd_cell, tape.x_steps, tape.batch,
-                  d_concat, &d_x_steps);
+                  d_concat, fwd_grads, &d_x_steps);
   }
 }
 

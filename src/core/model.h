@@ -8,13 +8,16 @@
 // matrix B is initialised from node2vec and frozen (PR-A1) or fine-tuned
 // (PR-A2).
 //
-// Training and serving run one forward body. ForwardInference[Full] writes
-// every activation into a caller-owned InferenceScratch; Forward[Full]
-// runs that same body into the model's own recording scratch (the tape),
-// which Backward[Full] reads back.
+// Training and serving run one forward body, Forward[Full], which writes
+// every activation into a caller-owned InferenceScratch. A recording
+// scratch is the training tape that Backward[Full] reads back; gradients
+// accumulate into a caller-owned gradient set. The model holds only its
+// parameters, so any number of threads may run forward and backward passes
+// through one shared const model, each with its own scratch and gradients.
 #pragma once
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/config.h"
@@ -28,19 +31,22 @@ namespace pathrank::core {
 /// How a PathRankModel's weights are produced at construction.
 enum class InitMode {
   kRandomInit,  // seeded random init (training from scratch)
-  kSkipInit,    // weights left zero — for replicas/snapshots/checkpoint
-                // loads whose values are copied in wholesale, skipping
-                // O(vocab x dim) RNG draws per replica
+  kSkipInit,    // weights left zero — for snapshots and checkpoint loads
+                // whose values are copied in wholesale, skipping
+                // O(vocab x dim) RNG draws
 };
 
-/// Caller-owned activation buffers of one model forward pass. The const
-/// inference path never writes activations into the model, so one shared
-/// model plus one InferenceScratch per thread gives race-free concurrent
-/// scoring. Buffers are reshaped, not reallocated, when batch geometry
-/// repeats across calls. The model's training tape is one of these with
-/// recording cell scratches.
+/// Caller-owned activation buffers of one model forward pass. Forward never
+/// writes activations into the model, so one shared model plus one
+/// InferenceScratch per thread gives race-free concurrent scoring. Buffers
+/// are reshaped, not reallocated, when batch geometry repeats across calls.
+///
+/// With `record` set the scratch is a training tape: it keeps the input
+/// batch and one gate slot per timestep, which Backward[Full] reads.
+/// Otherwise each gate reuses one buffer across steps (serving).
 struct InferenceScratch {
-  nn::SequenceBatch batch;  // the recorded input (training tape only)
+  bool record = false;
+  nn::SequenceBatch batch;  // the recorded input (tape only)
   nn::SequenceBatch batch_rev;
   std::vector<nn::Matrix> x_steps;
   std::vector<nn::Matrix> x_steps_rev;
@@ -57,7 +63,9 @@ struct InferenceScratch {
 /// Trainable path-scoring network.
 class PathRankModel {
  public:
-  /// Builds the network for `vocab_size` vertices.
+  /// Builds the network for `vocab_size` vertices. Throws
+  /// std::invalid_argument when `embedding_dim` or `hidden_size` is zero
+  /// (such a model could not be saved and loaded back).
   PathRankModel(size_t vocab_size, const PathRankConfig& config,
                 InitMode init = InitMode::kRandomInit);
 
@@ -73,36 +81,31 @@ class PathRankModel {
     std::vector<float> aux_time;    // normalised travel time, in (0, 1)
   };
 
-  /// Scores a batch of vertex sequences; returns one score per row.
-  /// Records every activation on the model's tape for a subsequent
-  /// Backward.
-  std::vector<float> Forward(const nn::SequenceBatch& batch);
+  /// Scores a batch of vertex sequences; returns one score per row. Every
+  /// activation lands in `scratch`; a recording scratch becomes the tape
+  /// for a following Backward. Scores do not depend on `record`. `batch`
+  /// may be `scratch->batch` itself, which a tape then records uncopied.
+  std::vector<float> Forward(const nn::SequenceBatch& batch,
+                             InferenceScratch* scratch) const;
 
   /// Forward pass that also produces the auxiliary-head outputs.
-  Outputs ForwardFull(const nn::SequenceBatch& batch);
+  Outputs ForwardFull(const nn::SequenceBatch& batch,
+                      InferenceScratch* scratch) const;
 
-  /// Inference-only forward: the same body as Forward, so scores are
-  /// bitwise identical, but all activations land in the caller-owned
-  /// `scratch` and each gate reuses one buffer across steps. The model is
-  /// never mutated: many threads may score through one shared const model
-  /// concurrently, each with its own scratch. No Backward may follow (use
-  /// Forward for training).
-  std::vector<float> ForwardInference(const nn::SequenceBatch& batch,
-                                      InferenceScratch* scratch) const;
-
-  /// Inference forward including the auxiliary-head outputs.
-  Outputs ForwardInferenceFull(const nn::SequenceBatch& batch,
-                               InferenceScratch* scratch) const;
-
-  /// Backpropagates d(loss)/d(score) through the tape of the last Forward
-  /// and accumulates parameter gradients.
-  void Backward(const std::vector<float>& d_scores);
+  /// Backpropagates d(loss)/d(score) through the Forward that `tape`
+  /// recorded and accumulates parameter gradients into `grads`, a set
+  /// sized by nn::ZeroGradients over Parameters(). Throws
+  /// std::logic_error when `tape` did not record.
+  void Backward(const InferenceScratch& tape,
+                std::span<const float> d_scores, nn::Gradients* grads) const;
 
   /// Backward including auxiliary-head gradients (multi-task training).
   /// Empty aux gradients are treated as zero.
-  void BackwardFull(const std::vector<float>& d_scores,
-                    const std::vector<float>& d_aux_length,
-                    const std::vector<float>& d_aux_time);
+  void BackwardFull(const InferenceScratch& tape,
+                    std::span<const float> d_scores,
+                    std::span<const float> d_aux_length,
+                    std::span<const float> d_aux_time,
+                    nn::Gradients* grads) const;
 
   /// All trainable parameters (embedding respects the PR-A1 freeze).
   nn::ParameterList Parameters();
@@ -112,8 +115,7 @@ class PathRankModel {
   nn::ConstParameterList Parameters() const;
 
   /// Copies every parameter value from `other` (must share architecture).
-  /// Used to build data-parallel worker replicas that then stay bitwise in
-  /// sync by applying identical reduced-gradient updates.
+  /// Used to build serving snapshots.
   void CopyParametersFrom(const PathRankModel& other);
 
   const PathRankConfig& config() const { return config_; }
@@ -130,10 +132,6 @@ class PathRankModel {
   std::unique_ptr<nn::LinearLayer> head_;
   std::unique_ptr<nn::LinearLayer> aux_length_head_;  // multi-task only
   std::unique_ptr<nn::LinearLayer> aux_time_head_;    // multi-task only
-
-  /// The training tape: Forward[Full] records into it, Backward[Full]
-  /// reads it.
-  InferenceScratch tape_;
 };
 
 }  // namespace pathrank::core

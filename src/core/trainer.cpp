@@ -1,8 +1,16 @@
+// Training loop. Each batch is cut into kChunkRows-row chunks that run
+// forward and backward concurrently through the one shared const model,
+// each chunk on its own tape and gradient set. The loss is taken once over
+// the whole batch, the chunk gradients are summed in chunk order, and one
+// clipped Adam step follows. No model is copied, and the thread count only
+// decides how many chunks run at once.
 #include "core/trainer.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
-#include <memory>
+#include <span>
+#include <stdexcept>
 
 #include "common/logging.h"
 #include "common/stopwatch.h"
@@ -35,21 +43,20 @@ void RestoreValues(const nn::ParameterList& params,
   }
 }
 
-/// Per-worker state for data-parallel training. Worker 0 aliases the
-/// caller's model; workers 1..W-1 own replicas initialised to identical
-/// values and refreshed by a value broadcast after each optimizer step,
-/// so all replicas stay bitwise equal throughout.
-struct Worker {
-  PathRankModel* model = nullptr;
-  std::unique_ptr<PathRankModel> owned;
-  nn::ParameterList params;
-  // Per-batch scratch (loss gradients) and per-group results.
-  std::vector<float> d_scores;
-  std::vector<float> d_aux_length;
-  std::vector<float> d_aux_time;
-  double group_loss = 0.0;     // loss * examples for the last shard
-  size_t group_examples = 0;
+/// One row chunk of a batch: its own tape and gradient set, so chunks run
+/// forward and backward concurrently through the one shared model.
+struct Chunk {
+  InferenceScratch tape;
+  nn::Gradients grads;
 };
+
+/// `v[begin, begin + n)`, or an empty span when `v` is empty (no
+/// auxiliary targets).
+std::span<const float> RowsOf(const std::vector<float>& v, size_t begin,
+                              size_t n) {
+  if (v.empty()) return {};
+  return std::span<const float>(v).subspan(begin, n);
+}
 
 }  // namespace
 
@@ -58,6 +65,9 @@ TrainHistory TrainPathRank(PathRankModel& model,
                            const data::RankingDataset& validation,
                            const TrainerConfig& config) {
   PR_CHECK(config.epochs >= 1);
+  if (!std::isfinite(config.learning_rate) || config.learning_rate <= 0.0) {
+    throw std::invalid_argument("learning_rate must be finite and positive");
+  }
   pathrank::Rng rng(config.seed);
   data::Batcher batcher(data::FlattenDataset(train), config.batch_size);
 
@@ -67,31 +77,19 @@ TrainHistory TrainPathRank(PathRankModel& model,
   schedule.total_epochs = config.epochs;
   schedule.min_lr = config.learning_rate * 0.01;
 
-  // Data-parallel setup: W consecutive batches form one optimizer-step
-  // group; each worker computes gradients for one batch and the ordered
-  // mean over the group is applied everywhere. W == 1 reproduces the
-  // serial per-batch schedule exactly. Results depend on W (the effective
-  // batch size is W * batch_size) but are bit-reproducible for a fixed
-  // seed and thread count.
-  const size_t num_workers =
-      std::max<size_t>(1, NumShardsFor(batcher.num_batches()));
-  std::vector<Worker> workers(num_workers);
-  for (size_t w = 0; w < num_workers; ++w) {
-    if (w == 0) {
-      workers[w].model = &model;
-    } else {
-      // Skip-init: the replica's values are copied in wholesale, so the
-      // constructor's O(vocab x dim) RNG draws would be wasted work.
-      workers[w].owned = std::make_unique<PathRankModel>(
-          model.vocab_size(), model.config(), InitMode::kSkipInit);
-      workers[w].owned->CopyParametersFrom(model);
-      workers[w].model = workers[w].owned.get();
-    }
-    workers[w].params = workers[w].model->Parameters();
-  }
-  const nn::ParameterList& params = workers[0].params;
+  const nn::ParameterList params = model.Parameters();
   const size_t num_params = params.size();
   nn::Adam optimizer(config.learning_rate);
+
+  // Chunk c of a batch holds rows [c * kChunkRows, (c + 1) * kChunkRows);
+  // the plan depends only on the batch's row count.
+  std::vector<Chunk> chunks((config.batch_size + kChunkRows - 1) /
+                            kChunkRows);
+  for (Chunk& chunk : chunks) chunk.tape.record = true;
+  PathRankModel::Outputs outputs;
+  std::vector<float> d_scores;
+  std::vector<float> d_aux_length;
+  std::vector<float> d_aux_time;
 
   TrainHistory history;
   history.best_val_mae = std::numeric_limits<double>::infinity();
@@ -111,88 +109,84 @@ TrainHistory TrainPathRank(PathRankModel& model,
 
     double loss_sum = 0.0;
     size_t example_count = 0;
-    for (size_t g = 0; g < batcher.num_batches(); g += num_workers) {
-      const size_t group =
-          std::min(num_workers, batcher.num_batches() - g);
+    for (size_t i = 0; i < batcher.num_batches(); ++i) {
+      const data::ModelBatch batch = batcher.GetBatch(i);
+      const size_t rows = batch.labels.size();
+      const size_t num_chunks = (rows + kChunkRows - 1) / kChunkRows;
+      auto for_each_chunk = [&](const auto& fn) {
+        ParallelForShards(
+            0, num_chunks,
+            [&](size_t, size_t lo, size_t hi) {
+              for (size_t c = lo; c < hi; ++c) {
+                const size_t begin = c * kChunkRows;
+                fn(chunks[c], begin, std::min(rows, begin + kChunkRows));
+              }
+            },
+            /*max_shards=*/num_chunks);
+      };
 
-      // Forward/backward one batch per worker; gradients land in each
-      // worker's own buffers.
-      ParallelForShards(
-          0, group,
-          [&](size_t shard, size_t lo, size_t hi) {
-            PR_CHECK(lo + 1 == hi);  // one batch per shard by construction
-            Worker& worker = workers[shard];
-            const data::ModelBatch batch = batcher.GetBatch(g + lo);
-            const auto outputs =
-                worker.model->ForwardFull(batch.sequences);
-            double loss = nn::ComputeLoss(config.loss, outputs.scores,
-                                          batch.labels, &worker.d_scores);
-            if (multi_task) {
-              // Auxiliary regression on the candidate's normalised length
-              // and travel time; gradients scaled by the auxiliary weight.
-              loss += aux_weight *
-                      nn::ComputeLoss(config.loss, outputs.aux_length,
-                                      batch.norm_lengths,
-                                      &worker.d_aux_length);
-              loss += aux_weight *
-                      nn::ComputeLoss(config.loss, outputs.aux_time,
-                                      batch.norm_times, &worker.d_aux_time);
-              for (float& grad : worker.d_aux_length) grad *= aux_weight;
-              for (float& grad : worker.d_aux_time) grad *= aux_weight;
-            }
-            worker.group_loss =
-                loss * static_cast<double>(outputs.scores.size());
-            worker.group_examples = outputs.scores.size();
+      // Forward: each chunk records its rows on its own tape; the outputs
+      // are gathered back into batch row order.
+      outputs.scores.resize(rows);
+      outputs.aux_length.resize(multi_task ? rows : 0);
+      outputs.aux_time.resize(multi_task ? rows : 0);
+      for_each_chunk([&](Chunk& chunk, size_t begin, size_t end) {
+        chunk.tape.batch = batch.sequences.Rows(begin, end);
+        const PathRankModel::Outputs out =
+            model.ForwardFull(chunk.tape.batch, &chunk.tape);
+        const auto at = static_cast<std::ptrdiff_t>(begin);
+        std::copy(out.scores.begin(), out.scores.end(),
+                  outputs.scores.begin() + at);
+        std::copy(out.aux_length.begin(), out.aux_length.end(),
+                  outputs.aux_length.begin() + at);
+        std::copy(out.aux_time.begin(), out.aux_time.end(),
+                  outputs.aux_time.begin() + at);
+      });
 
-            nn::ZeroGradients(worker.params);
-            if (multi_task) {
-              worker.model->BackwardFull(worker.d_scores,
-                                         worker.d_aux_length,
-                                         worker.d_aux_time);
-            } else {
-              worker.model->Backward(worker.d_scores);
-            }
-          },
-          /*max_shards=*/group);
-
-      for (size_t s = 0; s < group; ++s) {
-        loss_sum += workers[s].group_loss;
-        example_count += workers[s].group_examples;
+      // The loss is taken once over the whole batch.
+      double loss = nn::ComputeLoss(config.loss, outputs.scores,
+                                    batch.labels, &d_scores);
+      if (multi_task) {
+        // Auxiliary regression on the candidate's normalised length and
+        // travel time; gradients scaled by the auxiliary weight.
+        loss += aux_weight * nn::ComputeLoss(config.loss, outputs.aux_length,
+                                             batch.norm_lengths,
+                                             &d_aux_length);
+        loss += aux_weight * nn::ComputeLoss(config.loss, outputs.aux_time,
+                                             batch.norm_times, &d_aux_time);
+        for (float& grad : d_aux_length) grad *= aux_weight;
+        for (float& grad : d_aux_time) grad *= aux_weight;
       }
+      loss_sum += loss * static_cast<double>(rows);
+      example_count += rows;
 
-      // Ordered reduction into worker 0: mean of the group's gradients,
-      // shard order fixed, so the result is independent of scheduling.
-      if (group > 1) {
-        const float inv_group = 1.0f / static_cast<float>(group);
+      // Backward: each chunk backpropagates its rows of the loss gradient
+      // into its own gradient set.
+      for_each_chunk([&](Chunk& chunk, size_t begin, size_t end) {
+        const size_t n = end - begin;
+        nn::ZeroGradients(params, &chunk.grads);
+        model.BackwardFull(chunk.tape, RowsOf(d_scores, begin, n),
+                           RowsOf(d_aux_length, begin, n),
+                           RowsOf(d_aux_time, begin, n), &chunk.grads);
+      });
+
+      // Sum the chunk gradients into chunk 0's set in chunk order, then
+      // clip and take one optimizer step for the batch.
+      nn::Gradients& grads = chunks[0].grads;
+      if (num_chunks > 1) {
         ParallelFor(0, num_params, 1, [&](size_t lo, size_t hi) {
           for (size_t p = lo; p < hi; ++p) {
             if (params[p]->frozen) continue;  // optimizer never applies it
-            nn::Matrix& grad = params[p]->grad;
-            for (size_t s = 1; s < group; ++s) {
-              grad.Add(workers[s].params[p]->grad);
+            for (size_t c = 1; c < num_chunks; ++c) {
+              grads[p].Add(chunks[c].grads[p]);
             }
-            grad.Scale(inv_group);
           }
         });
       }
       if (config.clip_norm > 0.0) {
-        nn::ClipGradientNorm(params, config.clip_norm);
+        nn::ClipGradientNorm(params, config.clip_norm, &grads);
       }
-
-      // One optimizer step on worker 0, then a value broadcast keeps the
-      // replicas bitwise equal (frozen parameters never change, so they
-      // are skipped).
-      optimizer.Step(params);
-      if (num_workers > 1) {
-        ParallelForShards(1, num_workers, [&](size_t, size_t lo, size_t hi) {
-          for (size_t w = lo; w < hi; ++w) {
-            for (size_t p = 0; p < num_params; ++p) {
-              if (params[p]->frozen) continue;
-              workers[w].params[p]->value = params[p]->value;
-            }
-          }
-        });
-      }
+      optimizer.Step(params, grads);
     }
 
     EpochRecord record;
@@ -201,8 +195,8 @@ TrainHistory TrainPathRank(PathRankModel& model,
     record.learning_rate = lr;
 
     if (use_validation) {
-      // Validation scores through the const inference path on the shared
-      // model — sharded with per-shard scratch, no replica copies.
+      // Validation scores through the const forward pass on the shared
+      // model, sharded with per-shard scratch.
       const EvalResult val = Evaluate(model, validation);
       record.val_mae = val.mae;
       record.val_tau = val.kendall_tau;
@@ -225,7 +219,7 @@ TrainHistory TrainPathRank(PathRankModel& model,
                           ? " val_mae=" + std::to_string(record.val_mae)
                           : "")
                   << " lr=" << record.learning_rate << " ("
-                  << record.seconds << "s, " << num_workers << " workers)";
+                  << record.seconds << "s)";
     }
     if (use_validation && config.patience > 0 &&
         epochs_since_best >= config.patience) {

@@ -14,6 +14,13 @@
 
 namespace pathrank::core {
 
+/// Rows per chunk of a training batch. Chunks run forward and backward
+/// concurrently, each on its own tape and gradient set, and the sets are
+/// summed in chunk order. The arithmetic therefore depends on the batch
+/// alone, never on the thread count; a batch of at most kChunkRows rows is
+/// a single chunk.
+inline constexpr size_t kChunkRows = 8;
+
 /// Per-epoch training record.
 struct EpochRecord {
   int epoch = 0;
@@ -33,7 +40,9 @@ struct TrainHistory {
 
 /// Trains `model` in place and returns the history. `validation` may be
 /// empty, in which case early stopping is disabled and the final weights
-/// are kept.
+/// are kept. The trained weights are bitwise identical for any thread
+/// count. Throws std::invalid_argument unless the learning rate is finite
+/// and positive.
 TrainHistory TrainPathRank(PathRankModel& model,
                            const data::RankingDataset& train,
                            const data::RankingDataset& validation,

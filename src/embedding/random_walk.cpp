@@ -86,7 +86,9 @@ std::vector<std::vector<graph::VertexId>> RandomWalker::GenerateCorpus(
     pathrank::Rng& rng) const {
   // Plan all start vertices serially (the shuffles consume the caller's
   // stream), then walk in parallel with one forked Rng stream per shard.
-  // The corpus is deterministic for a fixed (seed, thread count).
+  // The shard plan is a constant, not the pool size, so the corpus is
+  // identical for any thread count.
+  constexpr size_t kWalkShards = 4;
   std::vector<graph::VertexId> order(network_->num_vertices());
   std::iota(order.begin(), order.end(), graph::VertexId{0});
   std::vector<graph::VertexId> starts;
@@ -97,7 +99,7 @@ std::vector<std::vector<graph::VertexId>> RandomWalker::GenerateCorpus(
     starts.insert(starts.end(), order.begin(), order.end());
   }
 
-  const size_t num_shards = NumShardsFor(starts.size());
+  const size_t num_shards = NumShardsFor(starts.size(), kWalkShards);
   std::vector<pathrank::Rng> shard_rngs;
   shard_rngs.reserve(num_shards);
   for (size_t s = 0; s < num_shards; ++s) shard_rngs.push_back(rng.Fork());

@@ -132,10 +132,13 @@ nn::Matrix TrainSkipGram(
   // Data-parallel local SGD: each round, every shard trains on a private
   // copy of the matrices over its slice of walks (own Rng stream), then
   // the copies are averaged in shard order. One shard degenerates to the
-  // classic serial loop on the canonical matrices. Deterministic for a
-  // fixed (seed, thread count); rounds are short enough that the averaged
-  // trajectory tracks serial SGD closely.
-  const size_t max_shards = NumShardsFor(corpus.size());
+  // classic serial loop on the canonical matrices. The shard count is part
+  // of the arithmetic (each round averages the shard copies), so it is a
+  // constant, not the pool size: the table is identical for any thread
+  // count. Rounds are short enough that the averaged trajectory tracks
+  // serial SGD closely.
+  constexpr size_t kSkipGramShards = 4;
+  const size_t max_shards = NumShardsFor(corpus.size(), kSkipGramShards);
   constexpr size_t kWalksPerShardPerRound = 64;
   // Averaging traffic is O(vocab * dims) per round regardless of the SGD
   // work done, so also require ~4 round tokens per vocabulary row; for

@@ -34,12 +34,14 @@ void EmbeddingLayer::Lookup(const SequenceBatch& batch, size_t t,
 }
 
 void EmbeddingLayer::AccumulateGrad(const SequenceBatch& batch, size_t t,
-                                    const Matrix& d_out) {
+                                    const Matrix& d_out,
+                                    Matrix* table_grad) const {
+  PR_CHECK(table_grad->SameShape(table_.value)) << "embedding gradient shape";
   const size_t d = dim();
   for (size_t b = 0; b < batch.batch_size; ++b) {
     if (static_cast<int32_t>(t) >= batch.lengths[b]) continue;  // padding
     const auto id = static_cast<size_t>(batch.id_at(b, t));
-    float* grad_row = table_.grad.row(id);
+    float* grad_row = table_grad->row(id);
     const float* src = d_out.row(b);
     for (size_t c = 0; c < d; ++c) grad_row[c] += src[c];
   }

@@ -18,7 +18,7 @@ class EmbeddingLayer {
   EmbeddingLayer(size_t vocab_size, size_t dim, pathrank::Rng& rng);
 
   /// Skip-init construction: the table is allocated but left zero, for
-  /// callers that overwrite it wholesale (replicas, checkpoint loads).
+  /// callers that overwrite it wholesale (snapshots, checkpoint loads).
   EmbeddingLayer(size_t vocab_size, size_t dim, SkipInit);
 
   /// Replaces the table content (e.g. with node2vec vectors); the matrix
@@ -30,10 +30,10 @@ class EmbeddingLayer {
   /// gradients are masked out in AccumulateGrad.
   void Lookup(const SequenceBatch& batch, size_t t, Matrix* out) const;
 
-  /// Accumulates d_out into the table gradient for timestep `t`, skipping
-  /// padded rows.
+  /// Accumulates d_out into `table_grad` [vocab_size x dim] for timestep
+  /// `t`, skipping padded rows.
   void AccumulateGrad(const SequenceBatch& batch, size_t t,
-                      const Matrix& d_out);
+                      const Matrix& d_out, Matrix* table_grad) const;
 
   /// Marks the table frozen (PR-A1) or trainable (PR-A2).
   void set_frozen(bool frozen) { table_.frozen = frozen; }

@@ -1,6 +1,7 @@
 // Fully-connected layer Y = X W + b. The layer holds only its parameters:
-// Forward is const (safe from many threads at once), and Backward takes
-// the input the matching Forward read.
+// Forward and Backward are const (safe from many threads at once); Backward
+// takes the input the matching Forward read and accumulates into the
+// caller's gradients.
 #pragma once
 
 #include <string>
@@ -23,8 +24,10 @@ class LinearLayer {
   void Forward(const Matrix& x, Matrix* y) const;
 
   /// Backpropagates `d_y` through the Forward that read `x`: accumulates
-  /// dW, db and writes dX (skipped when `d_x` is null).
-  void Backward(const Matrix& x, const Matrix& d_y, Matrix* d_x);
+  /// dW, db into `grads` (Parameters() order) and writes dX (skipped when
+  /// `d_x` is null).
+  void Backward(const Matrix& x, const Matrix& d_y, GradientSpan grads,
+                Matrix* d_x) const;
 
   ParameterList Parameters() { return {&w_, &b_}; }
   ConstParameterList Parameters() const { return {&w_, &b_}; }

@@ -1,24 +1,24 @@
-// First-order optimizers over a ParameterList. Frozen parameters are
-// skipped (their state slots exist but are never advanced), which is how
-// PR-A1 keeps the node2vec embedding matrix fixed.
+// First-order optimizers over a ParameterList and its gradient set. Frozen
+// parameters are skipped (their state slots exist but are never advanced),
+// which is how PR-A1 keeps the node2vec embedding matrix fixed.
 #pragma once
 
-#include <memory>
+#include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "nn/parameter.h"
 
 namespace pathrank::nn {
 
-/// Abstract optimizer. Step() consumes the current gradients.
+/// Abstract optimizer. Per-parameter state is kept by position, so every
+/// Step must pass the same parameter list.
 class Optimizer {
  public:
   virtual ~Optimizer() = default;
 
-  /// Applies one update using each parameter's current gradient.
-  virtual void Step(const ParameterList& params) = 0;
+  /// Applies one update: `grads[i]` is the gradient of `params[i]`.
+  virtual void Step(const ParameterList& params, const Gradients& grads) = 0;
 
   /// Current learning rate.
   double learning_rate() const { return lr_; }
@@ -36,12 +36,12 @@ class Optimizer {
 class Sgd final : public Optimizer {
  public:
   explicit Sgd(double lr, double momentum = 0.0);
-  void Step(const ParameterList& params) override;
+  void Step(const ParameterList& params, const Gradients& grads) override;
   std::string Name() const override { return "sgd"; }
 
  private:
   double momentum_;
-  std::unordered_map<const Parameter*, Matrix> velocity_;
+  std::vector<Matrix> velocity_;
 };
 
 /// Adam (Kingma & Ba 2015) with bias correction; optional decoupled weight
@@ -50,7 +50,7 @@ class Adam final : public Optimizer {
  public:
   Adam(double lr, double beta1 = 0.9, double beta2 = 0.999,
        double epsilon = 1e-8, double weight_decay = 0.0);
-  void Step(const ParameterList& params) override;
+  void Step(const ParameterList& params, const Gradients& grads) override;
   std::string Name() const override {
     return weight_decay_ > 0.0 ? "adamw" : "adam";
   }
@@ -62,7 +62,7 @@ class Adam final : public Optimizer {
   };
   double beta1_, beta2_, epsilon_, weight_decay_;
   int64_t t_ = 0;
-  std::unordered_map<const Parameter*, State> state_;
+  std::vector<State> state_;
 };
 
 }  // namespace pathrank::nn

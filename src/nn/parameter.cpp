@@ -2,31 +2,43 @@
 
 #include <cmath>
 
+#include "common/logging.h"
+
 namespace pathrank::nn {
 
-double GradientSquaredNorm(const ParameterList& params) {
+void ZeroGradients(const ParameterList& params, Gradients* grads) {
+  grads->resize(params.size());
+  for (size_t i = 0; i < params.size(); ++i) {
+    if (params[i]->frozen) {
+      (*grads)[i] = Matrix();  // nothing accumulates into or reads it
+    } else {
+      (*grads)[i].Resize(params[i]->value.rows(), params[i]->value.cols());
+    }
+  }
+}
+
+double GradientSquaredNorm(const ParameterList& params,
+                           const Gradients& grads) {
+  PR_CHECK(grads.size() == params.size()) << "gradient set size mismatch";
   double sum = 0.0;
-  for (const Parameter* p : params) {
-    if (p->frozen) continue;
-    sum += p->grad.SquaredNorm();
+  for (size_t i = 0; i < params.size(); ++i) {
+    if (params[i]->frozen) continue;
+    sum += grads[i].SquaredNorm();
   }
   return sum;
 }
 
-double ClipGradientNorm(const ParameterList& params, double max_norm) {
-  const double norm = std::sqrt(GradientSquaredNorm(params));
+double ClipGradientNorm(const ParameterList& params, double max_norm,
+                        Gradients* grads) {
+  const double norm = std::sqrt(GradientSquaredNorm(params, *grads));
   if (norm > max_norm && norm > 0.0) {
     const float scale = static_cast<float>(max_norm / norm);
-    for (Parameter* p : params) {
-      if (p->frozen) continue;
-      p->grad.Scale(scale);
+    for (size_t i = 0; i < params.size(); ++i) {
+      if (params[i]->frozen) continue;
+      (*grads)[i].Scale(scale);
     }
   }
   return norm;
-}
-
-void ZeroGradients(const ParameterList& params) {
-  for (Parameter* p : params) p->ZeroGrad();
 }
 
 }  // namespace pathrank::nn

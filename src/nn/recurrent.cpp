@@ -37,6 +37,10 @@ enum GruGate : size_t { kZ, kR, kHhat, kRh, kGruGates };
 enum RnnGate : size_t { kHnew, kRnnGates };
 enum LstmGate : size_t { kI, kF, kO, kG, kCNew, kTanhCNew, kLstmGates };
 
+/// Each cell's gradient-set slots, in its Parameters() order.
+enum GruParam : size_t { kWz, kWr, kWh, kUz, kUr, kUh, kBz, kBr, kBh };
+enum RnnParam : size_t { kW, kU, kB };
+
 /// Sizes `s` for a forward over `num_steps` steps of [batch x hidden]:
 /// hidden states (plus cell states when `cell_state`) and `num_gates` gate
 /// buffers. Every gate slot is fully written before it is read.
@@ -55,14 +59,17 @@ void PrepareScratch(RecurrentScratch* s, size_t num_steps, size_t batch,
 }
 
 /// Throws std::logic_error unless `tape` recorded a Forward over `x_steps`
-/// of a cell with `num_gates` gate buffers.
-void CheckTape(const RecurrentScratch& tape,
-               const std::vector<Matrix>& x_steps, size_t num_gates) {
+/// of a cell with `num_gates` gate buffers, and `grads` is a slice for
+/// `num_params` parameters.
+void CheckBackwardArgs(const RecurrentScratch& tape,
+                       const std::vector<Matrix>& x_steps, size_t num_gates,
+                       GradientSpan grads, size_t num_params) {
   const size_t num_steps = x_steps.size();
   PR_CHECK(num_steps > 0 && tape.record && tape.h.size() == num_steps + 1 &&
            tape.h[0].rows() == x_steps[0].rows() &&
            tape.gates[num_gates - 1].size() == num_steps)
       << "Backward needs a tape that recorded these steps";
+  PR_CHECK(grads.size() == num_params) << "gradient slice size mismatch";
 }
 
 }  // namespace
@@ -90,15 +97,7 @@ CellType ParseCellType(const std::string& name) {
 
 GruLayer::GruLayer(size_t input_size, size_t hidden_size, pathrank::Rng& rng,
                    const std::string& p)
-    : wz_(p + ".wz", input_size, hidden_size),
-      wr_(p + ".wr", input_size, hidden_size),
-      wh_(p + ".wh", input_size, hidden_size),
-      uz_(p + ".uz", hidden_size, hidden_size),
-      ur_(p + ".ur", hidden_size, hidden_size),
-      uh_(p + ".uh", hidden_size, hidden_size),
-      bz_(p + ".bz", 1, hidden_size),
-      br_(p + ".br", 1, hidden_size),
-      bh_(p + ".bh", 1, hidden_size) {
+    : GruLayer(input_size, hidden_size, kSkipInit, p) {
   for (Parameter* w : {&wz_, &wr_, &wh_, &uz_, &ur_, &uh_}) {
     XavierInit(&w->value, rng);
   }
@@ -180,8 +179,9 @@ void GruLayer::BackwardImpl(const std::vector<Matrix>& x_steps,
                             const RecurrentScratch& tape,
                             const Matrix* d_final_h,
                             const std::vector<Matrix>* d_h_steps,
-                            std::vector<Matrix>* d_x_steps) {
-  CheckTape(tape, x_steps, kGruGates);
+                            GradientSpan grads,
+                            std::vector<Matrix>* d_x_steps) const {
+  CheckBackwardArgs(tape, x_steps, kGruGates, grads, Parameters().size());
   const size_t num_steps = x_steps.size();
   const size_t batch = x_steps[0].rows();
   const size_t hidden = hidden_size();
@@ -229,9 +229,9 @@ void GruLayer::BackwardImpl(const std::vector<Matrix>& x_steps,
 
     // Candidate branch.
     TanhBackward(dhhat, hhat, &da);
-    GemmTN(x, da, &wh_.grad, 1.0f, 1.0f);
-    GemmTN(tape.gate(kRh, t), da, &uh_.grad, 1.0f, 1.0f);
-    AddColumnSums(da, &bh_.grad);
+    GemmTN(x, da, &grads[kWh], 1.0f, 1.0f);
+    GemmTN(tape.gate(kRh, t), da, &grads[kUh], 1.0f, 1.0f);
+    AddColumnSums(da, &grads[kBh]);
     GemmNT(da, wh_.value, &dx, 1.0f, 0.0f);
     GemmNT(da, uh_.value, &drh, 1.0f, 0.0f);
 
@@ -247,17 +247,17 @@ void GruLayer::BackwardImpl(const std::vector<Matrix>& x_steps,
 
     // Update gate.
     SigmoidBackward(dz_raw, z, &da);
-    GemmTN(x, da, &wz_.grad, 1.0f, 1.0f);
-    GemmTN(h_prev, da, &uz_.grad, 1.0f, 1.0f);
-    AddColumnSums(da, &bz_.grad);
+    GemmTN(x, da, &grads[kWz], 1.0f, 1.0f);
+    GemmTN(h_prev, da, &grads[kUz], 1.0f, 1.0f);
+    AddColumnSums(da, &grads[kBz]);
     GemmNT(da, wz_.value, &dx, 1.0f, 1.0f);
     GemmNT(da, uz_.value, &dh_prev, 1.0f, 1.0f);
 
     // Reset gate.
     SigmoidBackward(dr, r, &da);
-    GemmTN(x, da, &wr_.grad, 1.0f, 1.0f);
-    GemmTN(h_prev, da, &ur_.grad, 1.0f, 1.0f);
-    AddColumnSums(da, &br_.grad);
+    GemmTN(x, da, &grads[kWr], 1.0f, 1.0f);
+    GemmTN(h_prev, da, &grads[kUr], 1.0f, 1.0f);
+    AddColumnSums(da, &grads[kBr]);
     GemmNT(da, wr_.value, &dx, 1.0f, 1.0f);
     GemmNT(da, ur_.value, &dh_prev, 1.0f, 1.0f);
 
@@ -277,9 +277,7 @@ ConstParameterList GruLayer::Parameters() const {
 
 RnnLayer::RnnLayer(size_t input_size, size_t hidden_size, pathrank::Rng& rng,
                    const std::string& p)
-    : w_(p + ".w", input_size, hidden_size),
-      u_(p + ".u", hidden_size, hidden_size),
-      b_(p + ".b", 1, hidden_size) {
+    : RnnLayer(input_size, hidden_size, kSkipInit, p) {
   XavierInit(&w_.value, rng);
   XavierInit(&u_.value, rng);
 }
@@ -325,8 +323,9 @@ void RnnLayer::BackwardImpl(const std::vector<Matrix>& x_steps,
                             const RecurrentScratch& tape,
                             const Matrix* d_final_h,
                             const std::vector<Matrix>* d_h_steps,
-                            std::vector<Matrix>* d_x_steps) {
-  CheckTape(tape, x_steps, kRnnGates);
+                            GradientSpan grads,
+                            std::vector<Matrix>* d_x_steps) const {
+  CheckBackwardArgs(tape, x_steps, kRnnGates, grads, Parameters().size());
   const size_t num_steps = x_steps.size();
   const size_t batch = x_steps[0].rows();
   const size_t hidden = hidden_size();
@@ -357,9 +356,9 @@ void RnnLayer::BackwardImpl(const std::vector<Matrix>& x_steps,
     }
 
     TanhBackward(dhnew, tape.gate(kHnew, t), &da);
-    GemmTN(x, da, &w_.grad, 1.0f, 1.0f);
-    GemmTN(h_prev, da, &u_.grad, 1.0f, 1.0f);
-    AddColumnSums(da, &b_.grad);
+    GemmTN(x, da, &grads[kW], 1.0f, 1.0f);
+    GemmTN(h_prev, da, &grads[kU], 1.0f, 1.0f);
+    AddColumnSums(da, &grads[kB]);
     Matrix& dx = (*d_x_steps)[t];
     GemmNT(da, w_.value, &dx, 1.0f, 0.0f);
     GemmNT(da, u_.value, &dh_prev, 1.0f, 1.0f);
@@ -376,18 +375,7 @@ ConstParameterList RnnLayer::Parameters() const { return {&w_, &u_, &b_}; }
 
 LstmLayer::LstmLayer(size_t input_size, size_t hidden_size,
                      pathrank::Rng& rng, const std::string& p)
-    : wi_(p + ".wi", input_size, hidden_size),
-      wf_(p + ".wf", input_size, hidden_size),
-      wo_(p + ".wo", input_size, hidden_size),
-      wg_(p + ".wg", input_size, hidden_size),
-      ui_(p + ".ui", hidden_size, hidden_size),
-      uf_(p + ".uf", hidden_size, hidden_size),
-      uo_(p + ".uo", hidden_size, hidden_size),
-      ug_(p + ".ug", hidden_size, hidden_size),
-      bi_(p + ".bi", 1, hidden_size),
-      bf_(p + ".bf", 1, hidden_size),
-      bo_(p + ".bo", 1, hidden_size),
-      bg_(p + ".bg", 1, hidden_size) {
+    : LstmLayer(input_size, hidden_size, kSkipInit, p) {
   for (Parameter* w : {&wi_, &wf_, &wo_, &wg_, &ui_, &uf_, &uo_, &ug_}) {
     XavierInit(&w->value, rng);
   }
@@ -490,8 +478,9 @@ void LstmLayer::BackwardImpl(const std::vector<Matrix>& x_steps,
                              const RecurrentScratch& tape,
                              const Matrix* d_final_h,
                              const std::vector<Matrix>* d_h_steps,
-                             std::vector<Matrix>* d_x_steps) {
-  CheckTape(tape, x_steps, kLstmGates);
+                             GradientSpan grads,
+                             std::vector<Matrix>* d_x_steps) const {
+  CheckBackwardArgs(tape, x_steps, kLstmGates, grads, Parameters().size());
   const size_t num_steps = x_steps.size();
   const size_t batch = x_steps[0].rows();
   const size_t hidden = hidden_size();
@@ -545,33 +534,36 @@ void LstmLayer::BackwardImpl(const std::vector<Matrix>& x_steps,
       }
     }
 
-    auto backprop_gate = [&](const Matrix& dgate_raw, const Matrix& act,
-                             bool is_tanh, Parameter& w, Parameter& u,
-                             Parameter& b, bool first_dx) {
-      if (is_tanh) {
+    // Gate k's parameters sit at k (w), 4 + k (u) and 8 + k (b) in
+    // Parameters() order, and its activation is tape gate k.
+    auto backprop_gate = [&](const Matrix& dgate_raw, LstmGate k,
+                             const Parameter& w, const Parameter& u,
+                             bool first_dx) {
+      const Matrix& act = tape.gate(k, t);
+      if (k == kG) {
         TanhBackward(dgate_raw, act, &da);
       } else {
         SigmoidBackward(dgate_raw, act, &da);
       }
-      GemmTN(x, da, &w.grad, 1.0f, 1.0f);
-      GemmTN(h_prev, da, &u.grad, 1.0f, 1.0f);
-      AddColumnSums(da, &b.grad);
+      GemmTN(x, da, &grads[k], 1.0f, 1.0f);
+      GemmTN(h_prev, da, &grads[4 + k], 1.0f, 1.0f);
+      AddColumnSums(da, &grads[8 + k]);
       GemmNT(da, w.value, &dx, 1.0f, first_dx ? 0.0f : 1.0f);
       GemmNT(da, u.value, &dh_prev, 1.0f, 1.0f);
     };
 
     // Output gate: dO = dh_new * tanh_c_new.
     Hadamard(dh_new, tanh_cn, &dgate);
-    backprop_gate(dgate, og, false, wo_, uo_, bo_, /*first_dx=*/true);
+    backprop_gate(dgate, kO, wo_, uo_, /*first_dx=*/true);
     // Input gate: dI = dc_new * g.
     Hadamard(dc_new, gg, &dgate);
-    backprop_gate(dgate, ig, false, wi_, ui_, bi_, false);
+    backprop_gate(dgate, kI, wi_, ui_, false);
     // Forget gate: dF = dc_new * c_prev.
     Hadamard(dc_new, c_prev, &dgate);
-    backprop_gate(dgate, fg, false, wf_, uf_, bf_, false);
+    backprop_gate(dgate, kF, wf_, uf_, false);
     // Cell candidate: dG = dc_new * i.
     Hadamard(dc_new, ig, &dgate);
-    backprop_gate(dgate, gg, true, wg_, ug_, bg_, false);
+    backprop_gate(dgate, kG, wg_, ug_, false);
 
     std::swap(dh, dh_prev);
     std::swap(dc, dc_prev);
@@ -586,40 +578,6 @@ ParameterList LstmLayer::Parameters() {
 ConstParameterList LstmLayer::Parameters() const {
   return {&wi_, &wf_, &wo_, &wg_, &ui_, &uf_, &uo_, &ug_,
           &bi_, &bf_, &bo_, &bg_};
-}
-
-std::unique_ptr<RecurrentLayer> MakeRecurrentLayer(
-    CellType type, size_t input_size, size_t hidden_size, pathrank::Rng& rng,
-    const std::string& name_prefix) {
-  switch (type) {
-    case CellType::kGru:
-      return std::make_unique<GruLayer>(input_size, hidden_size, rng,
-                                        name_prefix);
-    case CellType::kRnn:
-      return std::make_unique<RnnLayer>(input_size, hidden_size, rng,
-                                        name_prefix);
-    case CellType::kLstm:
-      return std::make_unique<LstmLayer>(input_size, hidden_size, rng,
-                                         name_prefix);
-  }
-  return nullptr;
-}
-
-std::unique_ptr<RecurrentLayer> MakeRecurrentLayer(
-    CellType type, size_t input_size, size_t hidden_size, SkipInit,
-    const std::string& name_prefix) {
-  switch (type) {
-    case CellType::kGru:
-      return std::make_unique<GruLayer>(input_size, hidden_size, kSkipInit,
-                                        name_prefix);
-    case CellType::kRnn:
-      return std::make_unique<RnnLayer>(input_size, hidden_size, kSkipInit,
-                                        name_prefix);
-    case CellType::kLstm:
-      return std::make_unique<LstmLayer>(input_size, hidden_size, kSkipInit,
-                                         name_prefix);
-  }
-  return nullptr;
 }
 
 }  // namespace pathrank::nn

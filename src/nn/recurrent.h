@@ -5,15 +5,15 @@
 //     [B x input] embedding of timestep t; final_h receives the hidden state
 //     of each row after its true length (padding is masked, not processed).
 //     Every activation lands in the caller-owned scratch.
-//   Backward(x_steps, lengths, tape, d_final_h, &d_x_steps) — exact BPTT
-//     over a scratch that recorded a Forward of the same inputs; returns
-//     gradients with respect to every input step and accumulates parameter
-//     grads.
+//   Backward(x_steps, lengths, tape, d_final_h, grads, &d_x_steps) const —
+//     exact BPTT over a scratch that recorded a Forward of the same inputs;
+//     returns gradients with respect to every input step and accumulates
+//     parameter gradients into the caller's `grads`.
 //
 // Training and serving run the same Forward body; only the scratch differs
 // (a recording tape or reused inference buffers). Layers hold nothing but
-// their Parameters, so many threads may run Forward on one shared layer,
-// each with its own scratch.
+// their Parameters, so many threads may run Forward and Backward on one
+// shared layer, each with its own scratch and gradient set.
 #pragma once
 
 #include <array>
@@ -62,13 +62,15 @@ class RecurrentLayer {
 
   /// Backpropagates `d_final_h` [B x hidden] through the Forward of
   /// (`x_steps`, `lengths`) that `tape` recorded; writes input gradients
-  /// into `d_x_steps` and accumulates parameter gradients. Throws
-  /// std::logic_error when `tape` did not record these steps.
+  /// into `d_x_steps` and accumulates parameter gradients into `grads`
+  /// (Parameters() order). Throws std::logic_error when `tape` did not
+  /// record these steps.
   void Backward(const std::vector<Matrix>& x_steps,
                 const std::vector<int32_t>& lengths,
                 const RecurrentScratch& tape, const Matrix& d_final_h,
-                std::vector<Matrix>* d_x_steps) {
-    BackwardImpl(x_steps, lengths, tape, &d_final_h, nullptr, d_x_steps);
+                GradientSpan grads, std::vector<Matrix>* d_x_steps) const {
+    BackwardImpl(x_steps, lengths, tape, &d_final_h, nullptr, grads,
+                 d_x_steps);
   }
 
   /// Backpropagates per-step hidden-state gradients (`d_h_steps[t]` is the
@@ -77,9 +79,10 @@ class RecurrentLayer {
   void BackwardSteps(const std::vector<Matrix>& x_steps,
                      const std::vector<int32_t>& lengths,
                      const RecurrentScratch& tape,
-                     const std::vector<Matrix>& d_h_steps,
-                     std::vector<Matrix>* d_x_steps) {
-    BackwardImpl(x_steps, lengths, tape, nullptr, &d_h_steps, d_x_steps);
+                     const std::vector<Matrix>& d_h_steps, GradientSpan grads,
+                     std::vector<Matrix>* d_x_steps) const {
+    BackwardImpl(x_steps, lengths, tape, nullptr, &d_h_steps, grads,
+                 d_x_steps);
   }
 
   virtual ParameterList Parameters() = 0;
@@ -95,7 +98,8 @@ class RecurrentLayer {
                             const RecurrentScratch& tape,
                             const Matrix* d_final_h,
                             const std::vector<Matrix>* d_h_steps,
-                            std::vector<Matrix>* d_x_steps) = 0;
+                            GradientSpan grads,
+                            std::vector<Matrix>* d_x_steps) const = 0;
 };
 
 /// Cell selector used by configs and the ablation bench.
@@ -127,8 +131,8 @@ class GruLayer final : public RecurrentLayer {
   void BackwardImpl(const std::vector<Matrix>& x_steps,
                     const std::vector<int32_t>& lengths,
                     const RecurrentScratch& tape, const Matrix* d_final_h,
-                    const std::vector<Matrix>* d_h_steps,
-                    std::vector<Matrix>* d_x_steps) override;
+                    const std::vector<Matrix>* d_h_steps, GradientSpan grads,
+                    std::vector<Matrix>* d_x_steps) const override;
 
  private:
   Parameter wz_, wr_, wh_;  // [input x hidden]
@@ -157,8 +161,8 @@ class RnnLayer final : public RecurrentLayer {
   void BackwardImpl(const std::vector<Matrix>& x_steps,
                     const std::vector<int32_t>& lengths,
                     const RecurrentScratch& tape, const Matrix* d_final_h,
-                    const std::vector<Matrix>* d_h_steps,
-                    std::vector<Matrix>* d_x_steps) override;
+                    const std::vector<Matrix>* d_h_steps, GradientSpan grads,
+                    std::vector<Matrix>* d_x_steps) const override;
 
  private:
   Parameter w_, u_, b_;
@@ -185,8 +189,8 @@ class LstmLayer final : public RecurrentLayer {
   void BackwardImpl(const std::vector<Matrix>& x_steps,
                     const std::vector<int32_t>& lengths,
                     const RecurrentScratch& tape, const Matrix* d_final_h,
-                    const std::vector<Matrix>* d_h_steps,
-                    std::vector<Matrix>* d_x_steps) override;
+                    const std::vector<Matrix>* d_h_steps, GradientSpan grads,
+                    std::vector<Matrix>* d_x_steps) const override;
 
  private:
   Parameter wi_, wf_, wo_, wg_;  // [input x hidden]
@@ -194,17 +198,27 @@ class LstmLayer final : public RecurrentLayer {
   Parameter bi_, bf_, bo_, bg_;  // [1 x hidden]
 };
 
-/// Factory for the configured cell type. `name_prefix` namespaces the
+/// Factory for the configured cell type. `init` is a pathrank::Rng& for
+/// seeded random weights, or kSkipInit for zero weights that snapshot
+/// builders and checkpoint loads copy into. `name_prefix` namespaces the
 /// parameters (must be unique per layer instance within a model so
 /// checkpoints can address them).
+template <typename Init>
 std::unique_ptr<RecurrentLayer> MakeRecurrentLayer(
-    CellType type, size_t input_size, size_t hidden_size, pathrank::Rng& rng,
-    const std::string& name_prefix);
-
-/// Skip-init factory variant for replica/snapshot builders: weights are
-/// left zero and must be copied into before use.
-std::unique_ptr<RecurrentLayer> MakeRecurrentLayer(
-    CellType type, size_t input_size, size_t hidden_size, SkipInit,
-    const std::string& name_prefix);
+    CellType type, size_t input_size, size_t hidden_size, Init&& init,
+    const std::string& name_prefix) {
+  switch (type) {
+    case CellType::kGru:
+      return std::make_unique<GruLayer>(input_size, hidden_size, init,
+                                        name_prefix);
+    case CellType::kRnn:
+      return std::make_unique<RnnLayer>(input_size, hidden_size, init,
+                                        name_prefix);
+    case CellType::kLstm:
+      return std::make_unique<LstmLayer>(input_size, hidden_size, init,
+                                         name_prefix);
+  }
+  return nullptr;
+}
 
 }  // namespace pathrank::nn

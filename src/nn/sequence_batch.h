@@ -5,6 +5,8 @@
 // lengths[b], regardless of padding.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -41,6 +43,24 @@ struct SequenceBatch {
       }
     }
     return batch;
+  }
+
+  /// Rows [begin, end) as their own batch, padded to the longest of them.
+  SequenceBatch Rows(size_t begin, size_t end) const {
+    PR_CHECK(begin < end && end <= batch_size) << "row range out of bounds";
+    SequenceBatch rows;
+    rows.batch_size = end - begin;
+    rows.lengths.assign(lengths.begin() + static_cast<std::ptrdiff_t>(begin),
+                        lengths.begin() + static_cast<std::ptrdiff_t>(end));
+    for (const int32_t len : rows.lengths) {
+      rows.max_len = std::max(rows.max_len, static_cast<size_t>(len));
+    }
+    rows.ids.resize(rows.batch_size * rows.max_len);
+    for (size_t b = 0; b < rows.batch_size; ++b) {
+      const int32_t* src = &ids[(begin + b) * max_len];
+      std::copy(src, src + rows.max_len, &rows.ids[b * rows.max_len]);
+    }
+    return rows;
   }
 
   /// Reversed copy (prefix of each row reversed in place, padding kept at

@@ -31,8 +31,8 @@ class ModelSnapshot {
   size_t vocab_size() const { return model_->vocab_size(); }
   size_t NumParameters() const { return model_->NumParameters(); }
 
-  /// The frozen model. Only the const inference surface
-  /// (ForwardInference / ForwardInferenceFull) may be used on it.
+  /// The frozen model. Only its const surface (Forward / ForwardFull with
+  /// a caller-owned scratch) may be used on it.
   const core::PathRankModel& model() const { return *model_; }
 
   /// Builds a fresh mutable model initialised to this snapshot's values

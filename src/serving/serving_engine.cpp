@@ -125,7 +125,7 @@ std::vector<float> ServingEngine::ScoreSequences(
   // must never block on the global pool — a pool worker could be waiting
   // on this very lock.
   SerialRegionScope serial;
-  return snap->model().ForwardInference(batch, &replica.scratch);
+  return snap->model().Forward(batch, &replica.scratch);
 }
 
 std::vector<ScoredPath> ServingEngine::Rank(

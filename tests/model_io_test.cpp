@@ -22,6 +22,19 @@ nn::SequenceBatch ToyBatch() {
   return nn::SequenceBatch::FromSequences({{1, 2, 3, 4}, {5, 6}, {7, 8, 9}});
 }
 
+/// Scores `batch` through a fresh inference scratch.
+std::vector<float> Score(const PathRankModel& model,
+                         const nn::SequenceBatch& batch) {
+  InferenceScratch scratch;
+  return model.Forward(batch, &scratch);
+}
+
+PathRankModel::Outputs ScoreFull(const PathRankModel& model,
+                                 const nn::SequenceBatch& batch) {
+  InferenceScratch scratch;
+  return model.ForwardFull(batch, &scratch);
+}
+
 PathRankConfig SmallConfig() {
   PathRankConfig cfg;
   cfg.embedding_dim = 8;
@@ -37,17 +50,20 @@ TEST(ModelIo, RoundTripReproducesScores) {
   const auto batch = ToyBatch();
   const std::vector<float> truth{0.9f, 0.1f, 0.5f};
   std::vector<float> d;
-  const auto scores0 = model.Forward(batch);
+  InferenceScratch tape;
+  tape.record = true;
+  const auto scores0 = model.Forward(batch, &tape);
   nn::MseLoss(scores0, truth, &d);
-  nn::ZeroGradients(model.Parameters());
-  model.Backward(d);
-  adam.Step(model.Parameters());
+  nn::Gradients grads;
+  nn::ZeroGradients(model.Parameters(), &grads);
+  model.Backward(tape, d, &grads);
+  adam.Step(model.Parameters(), grads);
 
-  const auto expected = model.Forward(batch);
+  const auto expected = Score(model, batch);
   const std::string path = TempPath("pr_model.bin");
   SaveModel(model, path);
   auto loaded = LoadModel(path);
-  const auto got = loaded->Forward(batch);
+  const auto got = Score(*loaded, batch);
   ASSERT_EQ(got.size(), expected.size());
   for (size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(got[i], expected[i]);
@@ -134,7 +150,7 @@ TEST(MultiTask, AuxOutputsPresentAndBounded) {
   PathRankConfig cfg = SmallConfig();
   cfg.multi_task = true;
   PathRankModel model(16, cfg);
-  const auto outputs = model.ForwardFull(ToyBatch());
+  const auto outputs = ScoreFull(model, ToyBatch());
   ASSERT_EQ(outputs.aux_length.size(), 3u);
   ASSERT_EQ(outputs.aux_time.size(), 3u);
   for (size_t i = 0; i < 3; ++i) {
@@ -147,7 +163,7 @@ TEST(MultiTask, AuxOutputsPresentAndBounded) {
 
 TEST(MultiTask, SingleTaskHasNoAuxOutputs) {
   PathRankModel model(16, SmallConfig());
-  const auto outputs = model.ForwardFull(ToyBatch());
+  const auto outputs = ScoreFull(model, ToyBatch());
   EXPECT_TRUE(outputs.aux_length.empty());
   EXPECT_TRUE(outputs.aux_time.empty());
 }
@@ -175,10 +191,13 @@ TEST(MultiTask, JointTrainingReducesAllLosses) {
   std::vector<float> ds;
   std::vector<float> dl;
   std::vector<float> dt;
+  nn::Gradients grads;
+  InferenceScratch tape;
+  tape.record = true;
   double first = 0.0;
   double last = 0.0;
   for (int step = 0; step < 80; ++step) {
-    const auto out = model.ForwardFull(batch);
+    const auto out = model.ForwardFull(batch, &tape);
     double loss = nn::MseLoss(out.scores, truth, &ds);
     loss += 0.5 * nn::MseLoss(out.aux_length, aux_len, &dl);
     loss += 0.5 * nn::MseLoss(out.aux_time, aux_time, &dt);
@@ -186,19 +205,22 @@ TEST(MultiTask, JointTrainingReducesAllLosses) {
     for (float& g : dt) g *= 0.5f;
     if (step == 0) first = loss;
     last = loss;
-    nn::ZeroGradients(params);
-    model.BackwardFull(ds, dl, dt);
-    adam.Step(params);
+    nn::ZeroGradients(params, &grads);
+    model.BackwardFull(tape, ds, dl, dt, &grads);
+    adam.Step(params, grads);
   }
   EXPECT_LT(last, first * 0.2);
 }
 
 TEST(MultiTask, BackwardFullRejectsAuxWithoutMultiTask) {
   PathRankModel model(16, SmallConfig());
-  const auto batch = ToyBatch();
-  model.Forward(batch);
+  InferenceScratch tape;
+  tape.record = true;
+  model.Forward(ToyBatch(), &tape);
   const std::vector<float> d{0.1f, 0.1f, 0.1f};
-  EXPECT_THROW(model.BackwardFull(d, d, d), std::logic_error);
+  nn::Gradients grads;
+  nn::ZeroGradients(model.Parameters(), &grads);
+  EXPECT_THROW(model.BackwardFull(tape, d, d, d, &grads), std::logic_error);
 }
 
 }  // namespace

@@ -73,14 +73,15 @@ TEST(GradCheck, LinearLayer) {
     return WeightedSum(y, r);
   };
 
-  for (Parameter* p : fc.Parameters()) p->ZeroGrad();
+  Gradients grads;
+  ZeroGradients(fc.Parameters(), &grads);
   Matrix dx;
-  fc.Backward(x, r, &dx);
+  fc.Backward(x, r, grads, &dx);
 
-  CheckParameterGradient(*fc.Parameters()[0], loss_fn,
-                         fc.Parameters()[0]->grad, "linear W");
-  CheckParameterGradient(*fc.Parameters()[1], loss_fn,
-                         fc.Parameters()[1]->grad, "linear b");
+  CheckParameterGradient(*fc.Parameters()[0], loss_fn, grads[0],
+                         "linear W");
+  CheckParameterGradient(*fc.Parameters()[1], loss_fn, grads[1],
+                         "linear b");
 
   // Input gradient.
   for (size_t i = 0; i < x.size(); ++i) {
@@ -119,10 +120,10 @@ TEST(GradCheck, EmbeddingLayer) {
     return sum;
   };
 
-  emb.parameter().ZeroGrad();
-  emb.AccumulateGrad(batch, 0, r0);
-  emb.AccumulateGrad(batch, 1, r1);
-  CheckParameterGradient(emb.parameter(), loss_fn, emb.parameter().grad,
+  Matrix table_grad(6, 3);
+  emb.AccumulateGrad(batch, 0, r0, &table_grad);
+  emb.AccumulateGrad(batch, 1, r1, &table_grad);
+  CheckParameterGradient(emb.parameter(), loss_fn, table_grad,
                          "embedding table");
 }
 
@@ -148,13 +149,15 @@ TEST_P(RecurrentGradCheck, ParameterAndInputGradients) {
 
   Matrix h;
   cell->Forward(x_steps, lengths, &tape, &h);
-  for (Parameter* p : cell->Parameters()) p->ZeroGrad();
+  const ParameterList params = cell->Parameters();
+  Gradients grads;
+  ZeroGradients(params, &grads);
   std::vector<Matrix> dx;
-  cell->Backward(x_steps, lengths, tape, r, &dx);
+  cell->Backward(x_steps, lengths, tape, r, grads, &dx);
 
-  for (Parameter* p : cell->Parameters()) {
-    CheckParameterGradient(*p, loss_fn, p->grad,
-                           cell->Name() + " param " + p->name);
+  for (size_t i = 0; i < params.size(); ++i) {
+    CheckParameterGradient(*params[i], loss_fn, grads[i],
+                           cell->Name() + " param " + params[i]->name);
   }
 
   // Input gradients, including that masked steps produce zero gradient for
@@ -207,13 +210,16 @@ TEST_P(RecurrentGradCheck, PerStepGradients) {
 
   Matrix h;
   cell->Forward(x_steps, lengths, &tape, &h);
-  for (Parameter* p : cell->Parameters()) p->ZeroGrad();
+  const ParameterList params = cell->Parameters();
+  Gradients grads;
+  ZeroGradients(params, &grads);
   std::vector<Matrix> dx;
-  cell->BackwardSteps(x_steps, lengths, tape, r, &dx);
+  cell->BackwardSteps(x_steps, lengths, tape, r, grads, &dx);
 
-  for (Parameter* p : cell->Parameters()) {
-    CheckParameterGradient(*p, loss_fn, p->grad,
-                           cell->Name() + " step-grad param " + p->name);
+  for (size_t i = 0; i < params.size(); ++i) {
+    CheckParameterGradient(*params[i], loss_fn, grads[i],
+                           cell->Name() + " step-grad param " +
+                               params[i]->name);
   }
   for (size_t t = 0; t < x_steps.size(); ++t) {
     for (size_t i = 0; i < x_steps[t].size(); ++i) {
@@ -257,8 +263,10 @@ TEST_P(RecurrentGradCheck, MaskedStepsGetZeroInputGradient) {
   cell->Forward(x_steps, lengths, &tape, &h);
   Matrix r(1, 3);
   FillRandom(&r, rng);
+  Gradients grads;
+  ZeroGradients(cell->Parameters(), &grads);
   std::vector<Matrix> dx;
-  cell->Backward(x_steps, lengths, tape, r, &dx);
+  cell->Backward(x_steps, lengths, tape, r, grads, &dx);
   for (size_t t = 1; t < 3; ++t) {
     for (size_t i = 0; i < dx[t].size(); ++i) {
       EXPECT_EQ(dx[t].data()[i], 0.0f)

@@ -62,12 +62,15 @@ TEST(EmbeddingLayer, GradSkipsPadding) {
   const auto batch = SequenceBatch::FromSequences({{3, 7}, {1}});
   Matrix d(2, 2);
   d.Fill(1.0f);
-  emb.parameter().ZeroGrad();
-  emb.AccumulateGrad(batch, 1, d);  // t=1: row 1 is padding
-  EXPECT_EQ(emb.parameter().grad.at(7, 0), 1.0f);
+  Matrix grad(10, 2);
+  emb.AccumulateGrad(batch, 1, d, &grad);  // t=1: row 1 is padding
+  EXPECT_EQ(grad.at(7, 0), 1.0f);
   // Padded token id is 0: its row must stay zero.
-  EXPECT_EQ(emb.parameter().grad.at(0, 0), 0.0f);
-  EXPECT_EQ(emb.parameter().grad.at(1, 0), 0.0f);
+  EXPECT_EQ(grad.at(0, 0), 0.0f);
+  EXPECT_EQ(grad.at(1, 0), 0.0f);
+  Matrix wrong_shape(2, 2);
+  EXPECT_THROW(emb.AccumulateGrad(batch, 1, d, &wrong_shape),
+               std::logic_error);
 }
 
 TEST(EmbeddingLayer, LoadTableValidatesShape) {
@@ -159,24 +162,31 @@ TEST_P(RecurrentShapes, BackwardRequiresForward) {
   const std::vector<int32_t> lengths{3};
   Matrix d(1, 3);
   std::vector<Matrix> dx;
+  Gradients grads;
+  ZeroGradients(cell->Parameters(), &grads);
 
   RecurrentScratch empty;
   empty.record = true;
-  EXPECT_THROW(cell->Backward(x_steps, lengths, empty, d, &dx),
+  EXPECT_THROW(cell->Backward(x_steps, lengths, empty, d, grads, &dx),
                std::logic_error);
 
   RecurrentScratch inference;  // reuses one slot per gate: no tape
   Matrix h;
   cell->Forward(x_steps, lengths, &inference, &h);
-  EXPECT_THROW(cell->Backward(x_steps, lengths, inference, d, &dx),
+  EXPECT_THROW(cell->Backward(x_steps, lengths, inference, d, grads, &dx),
                std::logic_error);
 
   RecurrentScratch tape;
   tape.record = true;
   cell->Forward(x_steps, lengths, &tape, &h);
   const std::vector<Matrix> longer(4, Matrix(1, 2));
-  EXPECT_THROW(cell->Backward(longer, {4}, tape, d, &dx), std::logic_error);
-  EXPECT_NO_THROW(cell->Backward(x_steps, lengths, tape, d, &dx));
+  EXPECT_THROW(cell->Backward(longer, {4}, tape, d, grads, &dx),
+               std::logic_error);
+  // A gradient slice of the wrong length is rejected too.
+  EXPECT_THROW(cell->Backward(x_steps, lengths, tape, d,
+                              GradientSpan(grads).first(1), &dx),
+               std::logic_error);
+  EXPECT_NO_THROW(cell->Backward(x_steps, lengths, tape, d, grads, &dx));
 }
 
 INSTANTIATE_TEST_SUITE_P(Cells, RecurrentShapes,

@@ -1,7 +1,6 @@
-// Parallel-vs-serial equivalence: GEMM outputs are bitwise identical for
-// any thread count, and training is bit-reproducible for a fixed seed and
-// thread count (the determinism guarantee documented in
-// docs/performance.md).
+// Parallel-vs-serial equivalence: GEMM outputs, evaluation, training,
+// node2vec walks and skip-gram tables are bitwise identical for any thread
+// count (the determinism guarantees documented in docs/performance.md).
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -12,6 +11,9 @@
 #include "core/model.h"
 #include "core/trainer.h"
 #include "data/dataset.h"
+#include "embedding/random_walk.h"
+#include "embedding/skipgram.h"
+#include "graph/network_builder.h"
 #include "nn/matrix.h"
 
 namespace pathrank {
@@ -103,20 +105,20 @@ data::RankingDataset SyntheticDataset(size_t num_queries, uint64_t seed) {
   return dataset;
 }
 
-std::vector<nn::Matrix> TrainOnce(size_t threads) {
+constexpr size_t kThreadCounts[] = {1, 2, 4, 8};
+
+std::vector<nn::Matrix> TrainOnce(size_t threads,
+                                  const core::PathRankConfig& model_cfg) {
   SetNumThreads(threads);
   const data::RankingDataset train = SyntheticDataset(24, 101);
   const data::RankingDataset val = SyntheticDataset(6, 202);
-
-  core::PathRankConfig model_cfg;
-  model_cfg.embedding_dim = 12;
-  model_cfg.hidden_size = 16;
-  model_cfg.seed = 5;
   core::PathRankModel model(60, model_cfg);
 
   core::TrainerConfig train_cfg;
   train_cfg.epochs = 3;
-  train_cfg.batch_size = 8;
+  // Above kChunkRows and not a multiple of it: every batch has a ragged
+  // last chunk.
+  train_cfg.batch_size = 13;
   train_cfg.patience = 0;
   train_cfg.seed = 17;
   core::TrainPathRank(model, train, val, train_cfg);
@@ -128,17 +130,85 @@ std::vector<nn::Matrix> TrainOnce(size_t threads) {
   return weights;
 }
 
-TEST_F(ParallelEquivalenceTest, TrainingDeterministicForFixedThreadCount) {
-  for (size_t threads : {1, 2, 4}) {
-    const auto run1 = TrainOnce(threads);
-    const auto run2 = TrainOnce(threads);
-    ASSERT_EQ(run1.size(), run2.size());
+TEST_F(ParallelEquivalenceTest, TrainingBitwiseStableAcrossThreadCounts) {
+  static_assert(13 > core::kChunkRows && 13 % core::kChunkRows != 0);
+  core::PathRankConfig single;
+  single.embedding_dim = 12;
+  single.hidden_size = 16;
+  single.seed = 5;
+  core::PathRankConfig multi = single;
+  multi.multi_task = true;
+  core::PathRankConfig frozen = single;  // PR-A1
+  frozen.finetune_embedding = false;
+
+  for (const core::PathRankConfig& cfg : {single, multi, frozen}) {
+    const auto reference = TrainOnce(1, cfg);
+    const core::PathRankModel untrained(60, cfg);
+    const nn::ConstParameterList initial = untrained.Parameters();
+    ASSERT_EQ(initial.size(), reference.size());
     bool moved = false;
-    for (size_t i = 0; i < run1.size(); ++i) {
-      ExpectBitwiseEqual(run1[i], run2[i]);
-      if (run1[i].SquaredNorm() > 0.0) moved = true;
+    for (size_t i = 0; i < reference.size(); ++i) {
+      const nn::Matrix& before = initial[i]->value;
+      for (size_t j = 0; j < before.size(); ++j) {
+        moved = moved || reference[i].data()[j] != before.data()[j];
+      }
     }
-    EXPECT_TRUE(moved);
+    EXPECT_TRUE(moved) << "training left the weights untouched";
+    for (size_t threads : kThreadCounts) {
+      const auto run = TrainOnce(threads, cfg);
+      ASSERT_EQ(run.size(), reference.size());
+      for (size_t i = 0; i < run.size(); ++i) {
+        SCOPED_TRACE(testing::Message()
+                     << "threads=" << threads << " param " << i
+                     << " multi_task=" << cfg.multi_task
+                     << " finetune=" << cfg.finetune_embedding);
+        ExpectBitwiseEqual(run[i], reference[i]);
+      }
+    }
+  }
+}
+
+TEST_F(ParallelEquivalenceTest, WalkCorpusStableAcrossThreadCounts) {
+  const graph::RoadNetwork network = graph::BuildTestNetwork();
+  embedding::RandomWalkConfig cfg;
+  cfg.walk_length = 12;
+  cfg.walks_per_vertex = 3;
+  const embedding::RandomWalker walker(network, cfg);
+  SetNumThreads(1);
+  Rng reference_rng(31);
+  const auto reference = walker.GenerateCorpus(reference_rng);
+  for (size_t threads : kThreadCounts) {
+    SetNumThreads(threads);
+    Rng rng(31);
+    EXPECT_EQ(walker.GenerateCorpus(rng), reference) << "threads=" << threads;
+    // The caller's stream advances identically too.
+    EXPECT_EQ(rng.NextU64(), Rng(reference_rng).NextU64());
+  }
+}
+
+TEST_F(ParallelEquivalenceTest, SkipGramTableStableAcrossThreadCounts) {
+  const graph::RoadNetwork network = graph::BuildTestNetwork();
+  embedding::RandomWalkConfig walk_cfg;
+  walk_cfg.walk_length = 12;
+  walk_cfg.walks_per_vertex = 10;  // several averaging rounds of 4 shards
+  Rng walk_rng(41);
+  const auto corpus =
+      embedding::RandomWalker(network, walk_cfg).GenerateCorpus(walk_rng);
+  embedding::SkipGramConfig cfg;
+  cfg.dims = 8;
+  cfg.epochs = 2;
+
+  SetNumThreads(1);
+  Rng reference_rng(43);
+  const nn::Matrix reference = embedding::TrainSkipGram(
+      corpus, network.num_vertices(), cfg, reference_rng);
+  for (size_t threads : kThreadCounts) {
+    SetNumThreads(threads);
+    Rng rng(43);
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
+    ExpectBitwiseEqual(embedding::TrainSkipGram(
+                           corpus, network.num_vertices(), cfg, rng),
+                       reference);
   }
 }
 

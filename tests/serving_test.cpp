@@ -1,7 +1,7 @@
-// Serving stack: const inference path equivalence (every cell / pooling /
-// multi-task / direction configuration), skip-init construction, immutable
-// snapshots, and the replica-pool ServingEngine (batch-vs-single and
-// concurrent-vs-serial bitwise equivalence).
+// Serving stack: recording vs inference scratch equivalence (every cell /
+// pooling / multi-task / direction configuration), skip-init construction,
+// immutable snapshots, and the replica-pool ServingEngine (batch-vs-single
+// and concurrent-vs-serial bitwise equivalence).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,6 +25,13 @@ nn::SequenceBatch ToyBatch() {
       {{1, 2, 3, 4}, {5, 6}, {7, 8, 9, 10, 11}, {12}});
 }
 
+/// Scores `batch` through a fresh inference scratch.
+std::vector<float> Score(const core::PathRankModel& model,
+                         const nn::SequenceBatch& batch) {
+  core::InferenceScratch scratch;
+  return model.Forward(batch, &scratch);
+}
+
 core::PathRankConfig SmallConfig() {
   core::PathRankConfig cfg;
   cfg.embedding_dim = 8;
@@ -33,9 +40,9 @@ core::PathRankConfig SmallConfig() {
   return cfg;
 }
 
-// ---- const inference path --------------------------------------------
+// ---- one forward body, two scratch kinds ------------------------------
 
-TEST(ForwardInference, BitwiseEqualToTrainingForwardAcrossConfigs) {
+TEST(ForwardScratch, RecordingBitwiseEqualToInferenceAcrossConfigs) {
   for (nn::CellType cell :
        {nn::CellType::kGru, nn::CellType::kRnn, nn::CellType::kLstm}) {
     for (bool bidirectional : {false, true}) {
@@ -49,11 +56,11 @@ TEST(ForwardInference, BitwiseEqualToTrainingForwardAcrossConfigs) {
           cfg.multi_task = multi_task;
           core::PathRankModel model(16, cfg);
 
-          const auto expected = model.ForwardFull(ToyBatch());
-          const core::PathRankModel& const_model = model;
+          core::InferenceScratch tape;
+          tape.record = true;
+          const auto expected = model.ForwardFull(ToyBatch(), &tape);
           core::InferenceScratch scratch;
-          const auto actual =
-              const_model.ForwardInferenceFull(ToyBatch(), &scratch);
+          const auto actual = model.ForwardFull(ToyBatch(), &scratch);
 
           ASSERT_EQ(expected.scores.size(), actual.scores.size());
           for (size_t i = 0; i < expected.scores.size(); ++i) {
@@ -74,17 +81,17 @@ TEST(ForwardInference, BitwiseEqualToTrainingForwardAcrossConfigs) {
   }
 }
 
-TEST(ForwardInference, ScratchReuseAcrossGeometriesIsStable) {
+TEST(ForwardScratch, ScratchReuseAcrossGeometriesIsStable) {
   core::PathRankModel model(16, SmallConfig());
   core::InferenceScratch scratch;
   // Alternate between batch geometries with one scratch: stale shapes
   // must never leak into results.
   const auto small = nn::SequenceBatch::FromSequences({{3, 1}});
-  const auto expected_toy = model.Forward(ToyBatch());
-  const auto expected_small = model.Forward(small);
+  const auto expected_toy = Score(model, ToyBatch());
+  const auto expected_small = Score(model, small);
   for (int round = 0; round < 3; ++round) {
-    const auto toy_scores = model.ForwardInference(ToyBatch(), &scratch);
-    const auto small_scores = model.ForwardInference(small, &scratch);
+    const auto toy_scores = model.Forward(ToyBatch(), &scratch);
+    const auto small_scores = model.Forward(small, &scratch);
     for (size_t i = 0; i < expected_toy.size(); ++i) {
       EXPECT_EQ(expected_toy[i], toy_scores[i]);
     }
@@ -102,8 +109,8 @@ TEST(SkipInit, CopiedReplicaScoresBitwiseEqual) {
     core::PathRankModel source(16, cfg);
     core::PathRankModel replica(16, cfg, core::InitMode::kSkipInit);
     replica.CopyParametersFrom(source);
-    const auto expected = source.Forward(ToyBatch());
-    const auto actual = replica.Forward(ToyBatch());
+    const auto expected = Score(source, ToyBatch());
+    const auto actual = Score(replica, ToyBatch());
     for (size_t i = 0; i < expected.size(); ++i) {
       EXPECT_EQ(expected[i], actual[i]);
     }
@@ -136,8 +143,8 @@ TEST(ModelSnapshot, ConstSnapshotIsUsable) {
   EXPECT_EQ(snap.config().hidden_size, SmallConfig().hidden_size);
 
   core::InferenceScratch scratch;
-  const auto expected = model.Forward(ToyBatch());
-  const auto actual = snap.model().ForwardInference(ToyBatch(), &scratch);
+  const auto expected = Score(model, ToyBatch());
+  const auto actual = snap.model().Forward(ToyBatch(), &scratch);
   for (size_t i = 0; i < expected.size(); ++i) {
     EXPECT_EQ(expected[i], actual[i]);
   }
@@ -147,7 +154,7 @@ TEST(ModelSnapshot, IsImmuneToLaterTrainingOfTheSource) {
   core::PathRankModel model(16, SmallConfig());
   const auto snapshot = ModelSnapshot::Capture(model);
   core::InferenceScratch scratch;
-  const auto before = snapshot->model().ForwardInference(ToyBatch(), &scratch);
+  const auto before = snapshot->model().Forward(ToyBatch(), &scratch);
 
   // Perturb the source model's weights (stand-in for continued training).
   for (nn::Parameter* p : model.Parameters()) {
@@ -155,8 +162,8 @@ TEST(ModelSnapshot, IsImmuneToLaterTrainingOfTheSource) {
       p->value.data()[i] += 0.25f;
     }
   }
-  const auto source_now = model.Forward(ToyBatch());
-  const auto after = snapshot->model().ForwardInference(ToyBatch(), &scratch);
+  const auto source_now = Score(model, ToyBatch());
+  const auto after = snapshot->model().Forward(ToyBatch(), &scratch);
   bool source_changed = false;
   for (size_t i = 0; i < before.size(); ++i) {
     EXPECT_EQ(before[i], after[i]);
@@ -169,8 +176,8 @@ TEST(ModelSnapshot, MaterializeRoundTrips) {
   core::PathRankModel model(16, SmallConfig());
   const auto snapshot = ModelSnapshot::Capture(model);
   const auto copy = snapshot->Materialize();
-  const auto expected = model.Forward(ToyBatch());
-  const auto actual = copy->Forward(ToyBatch());
+  const auto expected = Score(model, ToyBatch());
+  const auto actual = Score(*copy, ToyBatch());
   for (size_t i = 0; i < expected.size(); ++i) {
     EXPECT_EQ(expected[i], actual[i]);
   }
@@ -195,14 +202,14 @@ TEST(ServingEngine, ScoreBatchMatchesTrainingForward) {
       data::GenerateCandidatePaths(fx.network, 0, 63, fx.gen);
   ASSERT_GE(candidates.size(), 2u);
 
-  // Reference: the mutable training-path scores for the same batch.
+  // Reference: the model's own scores for the same batch.
   std::vector<std::vector<int32_t>> seqs;
   for (const auto& p : candidates) {
     std::vector<int32_t> seq(p.vertices.begin(), p.vertices.end());
     seqs.push_back(std::move(seq));
   }
   const auto scores =
-      fx.model.Forward(nn::SequenceBatch::FromSequences(seqs));
+      Score(fx.model, nn::SequenceBatch::FromSequences(seqs));
 
   auto scored = engine.ScoreBatch(candidates);
   ASSERT_EQ(scored.size(), candidates.size());

@@ -114,6 +114,17 @@ class Args {
     return GetParsed<int32_t>(key, fallback, "an integer", ParseInt32);
   }
 
+  /// GetInt for sizes and counts: a value below 1 is a usage error.
+  int GetPositiveInt(const std::string& key, int fallback) const {
+    const int value = GetInt(key, fallback);
+    if (value < 1) {
+      std::fprintf(stderr, "flag --%s expects an integer >= 1, got %d\n",
+                   key.c_str(), value);
+      std::exit(2);
+    }
+    return value;
+  }
+
   double GetDouble(const std::string& key, double fallback) const {
     return GetParsed<double>(key, fallback, "a number", ParseDouble);
   }
@@ -201,13 +212,21 @@ data::RankingDataset BuildDataset(const graph::RoadNetwork& network,
 }
 
 int CmdTrain(const Args& args) {
+  // Every model and trainer flag is checked before the expensive stages.
+  const int m = args.GetPositiveInt("m", 64);
+  const int hidden = args.GetPositiveInt("hidden", 64);
+  const int epochs = args.GetPositiveInt("epochs", 20);
+  const double lr = args.GetDouble("lr", 3e-3);
+  if (!(lr > 0.0)) {
+    std::fprintf(stderr, "flag --lr expects a positive number, got %g\n", lr);
+    std::exit(2);
+  }
   const auto network = graph::LoadNetworkCsv(args.Require("network"));
   const auto trips = traj::LoadTrips(network, args.Require("trips"));
   auto dataset = BuildDataset(network, trips, args);
   Rng rng(static_cast<uint64_t>(args.GetInt("seed", 11)));
   const auto split = data::SplitDataset(dataset, 0.8, 0.1, rng);
 
-  const int m = args.GetInt("m", 64);
   embedding::Node2VecConfig n2v;
   n2v.skipgram.dims = m;
   n2v.seed = static_cast<uint64_t>(args.GetInt("seed", 11)) + 1;
@@ -216,15 +235,15 @@ int CmdTrain(const Args& args) {
 
   core::PathRankConfig model_cfg;
   model_cfg.embedding_dim = static_cast<size_t>(m);
-  model_cfg.hidden_size = static_cast<size_t>(args.GetInt("hidden", 64));
+  model_cfg.hidden_size = static_cast<size_t>(hidden);
   model_cfg.finetune_embedding = args.GetInt("finetune", 1) != 0;
   model_cfg.multi_task = args.GetInt("multitask", 0) != 0;
   core::PathRankModel model(network.num_vertices(), model_cfg);
   model.InitializeEmbedding(table);
 
   core::TrainerConfig train_cfg;
-  train_cfg.epochs = args.GetInt("epochs", 20);
-  train_cfg.learning_rate = args.GetDouble("lr", 3e-3);
+  train_cfg.epochs = epochs;
+  train_cfg.learning_rate = lr;
   train_cfg.verbose = true;
   SetLogLevel(LogLevel::kInfo);
   std::printf("training PathRank (%s)...\n",
