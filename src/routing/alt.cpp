@@ -1,6 +1,7 @@
 #include "routing/alt.h"
 
-#include <queue>
+#include <algorithm>
+#include <functional>
 #include <utility>
 
 #include "common/logging.h"
@@ -21,12 +22,22 @@ AltRouter::AltRouter(const RoadNetwork& network, const EdgeCostFn& cost,
       tables_(std::move(tables)),
       dist_(network.num_vertices()),
       parent_edge_(network.num_vertices(), graph::kInvalidEdge),
-      stamp_(network.num_vertices(), 0) {
+      stamp_(network.num_vertices(), 0),
+      bound_(network.num_vertices()),
+      bound_stamp_(network.num_vertices(), 0) {
   PR_CHECK(tables_ != nullptr);
   PR_CHECK(tables_->num_vertices() == network.num_vertices())
       << "preprocessed tables index a different network";
   PR_CHECK(tables_->CompatibleWith(cost_))
       << "query metric does not match the preprocessing metric";
+}
+
+double AltRouter::Bound(VertexId v) {
+  if (bound_stamp_[v] != bound_epoch_) {
+    bound_stamp_[v] = bound_epoch_;
+    bound_[v] = tables_->LowerBound(v, bound_target_);
+  }
+  return bound_[v];
 }
 
 std::optional<Path> AltRouter::ShortestPath(VertexId source, VertexId target,
@@ -37,18 +48,24 @@ std::optional<Path> AltRouter::ShortestPath(VertexId source, VertexId target,
   if (cancel != nullptr && cancel->Expired()) return std::nullopt;
   ++epoch_;
   settled_count_ = 0;
-  const PreprocessedGraph& tables = *tables_;
+  if (target != bound_target_) {
+    // Every spur search of one Yen query shares the target, so the memo
+    // lives until the target changes; a new target invalidates it in O(1).
+    bound_target_ = target;
+    ++bound_epoch_;
+  }
 
-  std::priority_queue<QueueEntry, std::vector<QueueEntry>,
-                      std::greater<QueueEntry>>
-      queue;
+  // Same heap discipline as Dijkstra::Run: std::priority_queue's
+  // operations over member storage reused across queries.
+  const std::greater<QueueEntry> later;
+  heap_.clear();
   dist_[source] = 0.0;
   parent_edge_[source] = graph::kInvalidEdge;
   stamp_[source] = epoch_;
-  queue.push({tables.LowerBound(source, target), 0.0, source});
+  heap_.push_back({Bound(source), 0.0, source});
 
   size_t pops = 0;
-  while (!queue.empty()) {
+  while (!heap_.empty()) {
     // Same amortised checkpoint cadence as Dijkstra::Run: free when no
     // token, and never influences expansion order.
     if (cancel != nullptr &&
@@ -56,8 +73,9 @@ std::optional<Path> AltRouter::ShortestPath(VertexId source, VertexId target,
         cancel->Expired()) {
       return std::nullopt;
     }
-    const QueueEntry top = queue.top();
-    queue.pop();
+    std::pop_heap(heap_.begin(), heap_.end(), later);
+    const QueueEntry top = heap_.back();
+    heap_.pop_back();
     const VertexId u = top.vertex;
     if (stamp_[u] != epoch_ || top.g > dist_[u]) continue;
     ++settled_count_;
@@ -90,7 +108,8 @@ std::optional<Path> AltRouter::ShortestPath(VertexId source, VertexId target,
         stamp_[v] = epoch_;
         dist_[v] = ng;
         parent_edge_[v] = e;
-        queue.push({ng + tables.LowerBound(v, target), ng, v});
+        heap_.push_back({ng + Bound(v), ng, v});
+        std::push_heap(heap_.begin(), heap_.end(), later);
       }
     }
   }

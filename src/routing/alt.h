@@ -83,8 +83,19 @@ class AltRouter {
   std::vector<double> dist_;
   std::vector<EdgeId> parent_edge_;
   std::vector<uint32_t> stamp_;
+  std::vector<QueueEntry> heap_;  // search frontier, reused across queries
   uint32_t epoch_ = 0;
   size_t settled_count_ = 0;
+
+  /// tables_->LowerBound(v, bound_target_), computed on first use: each
+  /// call reads 4 table entries per landmark, and Yen asks it of the same
+  /// vertices search after search. bound_[v] is valid where
+  /// bound_stamp_[v] == bound_epoch_.
+  double Bound(VertexId v);
+  VertexId bound_target_ = graph::kInvalidVertex;
+  std::vector<double> bound_;
+  std::vector<uint32_t> bound_stamp_;
+  uint32_t bound_epoch_ = 0;
 };
 
 }  // namespace pathrank::routing

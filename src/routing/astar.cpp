@@ -1,7 +1,8 @@
 #include "routing/astar.h"
 
+#include <algorithm>
+#include <functional>
 #include <limits>
-#include <queue>
 
 #include "common/logging.h"
 #include "routing/dijkstra.h"
@@ -43,24 +44,26 @@ std::optional<Path> AStar::ShortestPath(VertexId source, VertexId target,
     return 0.0;
   };
 
-  std::priority_queue<QueueEntry, std::vector<QueueEntry>,
-                      std::greater<QueueEntry>>
-      queue;
+  // Same heap discipline as Dijkstra::Run: std::priority_queue's
+  // operations over member storage reused across queries.
+  const std::greater<QueueEntry> later;
+  heap_.clear();
   dist_[source] = 0.0;
   parent_edge_[source] = graph::kInvalidEdge;
   stamp_[source] = epoch_;
-  queue.push({heuristic(source), 0.0, source});
+  heap_.push_back({heuristic(source), 0.0, source});
 
   size_t pops = 0;
-  while (!queue.empty()) {
+  while (!heap_.empty()) {
     // Same amortised checkpoint cadence as Dijkstra::Run.
     if (cancel != nullptr &&
         (++pops & (Dijkstra::kCancelCheckPops - 1)) == 0 &&
         cancel->Expired()) {
       return std::nullopt;
     }
-    const QueueEntry top = queue.top();
-    queue.pop();
+    std::pop_heap(heap_.begin(), heap_.end(), later);
+    const QueueEntry top = heap_.back();
+    heap_.pop_back();
     const VertexId u = top.vertex;
     if (stamp_[u] != epoch_ || top.g > dist_[u]) continue;
     ++settled_count_;
@@ -93,7 +96,8 @@ std::optional<Path> AStar::ShortestPath(VertexId source, VertexId target,
         stamp_[v] = epoch_;
         dist_[v] = ng;
         parent_edge_[v] = e;
-        queue.push({ng + heuristic(v), ng, v});
+        heap_.push_back({ng + heuristic(v), ng, v});
+        std::push_heap(heap_.begin(), heap_.end(), later);
       }
     }
   }

@@ -1,8 +1,8 @@
 #include "routing/dijkstra.h"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
-#include <queue>
 
 #include "common/logging.h"
 
@@ -47,18 +47,20 @@ std::optional<Path> Dijkstra::Run(VertexId source, VertexId target,
   cost_ = &cost;
   last_source_ = source;
 
-  std::priority_queue<QueueEntry, std::vector<QueueEntry>,
-                      std::greater<QueueEntry>>
-      queue;
+  // Min-heap on dist, driven exactly as std::priority_queue drives it
+  // (push_back + push_heap, pop_heap + pop_back), so the pop order, ties
+  // included, is unchanged; the storage survives across searches.
+  const std::greater<QueueEntry> later;
+  heap_.clear();
   dist_[source] = 0.0;
   parent_edge_[source] = graph::kInvalidEdge;
   stamp_[source] = epoch_;
-  queue.push({0.0, source});
+  heap_.push_back({0.0, source});
 
   // Settled marker: we reuse stamp_ for "touched"; settled is implied by
   // popping an entry whose dist matches dist_ (lazy deletion).
   size_t pops = 0;
-  while (!queue.empty()) {
+  while (!heap_.empty()) {
     // Cooperative cancellation, amortised to every kCancelCheckPops pops.
     // With cancel == nullptr (every pre-deadline call site) this is one
     // never-taken branch: no arithmetic the result depends on, so the
@@ -67,8 +69,9 @@ std::optional<Path> Dijkstra::Run(VertexId source, VertexId target,
         cancel->Expired()) {
       return std::nullopt;
     }
-    const QueueEntry top = queue.top();
-    queue.pop();
+    std::pop_heap(heap_.begin(), heap_.end(), later);
+    const QueueEntry top = heap_.back();
+    heap_.pop_back();
     const VertexId u = top.vertex;
     if (stamp_[u] != epoch_ || top.dist > dist_[u]) continue;  // stale
     ++settled_count_;
@@ -86,7 +89,8 @@ std::optional<Path> Dijkstra::Run(VertexId source, VertexId target,
         stamp_[v] = epoch_;
         dist_[v] = nd;
         parent_edge_[v] = e;
-        queue.push({nd, v});
+        heap_.push_back({nd, v});
+        std::push_heap(heap_.begin(), heap_.end(), later);
       }
     }
   }

@@ -70,6 +70,7 @@ class Dijkstra {
   std::vector<double> dist_;
   std::vector<EdgeId> parent_edge_;
   std::vector<uint32_t> stamp_;  // epoch per vertex
+  std::vector<QueueEntry> heap_;  // search frontier, reused across queries
   uint32_t epoch_ = 0;
   size_t settled_count_ = 0;
   VertexId last_source_ = graph::kInvalidVertex;

@@ -25,6 +25,7 @@ SearchResult DijkstraEngine::FindPath(VertexId source, VertexId target,
                                       const EdgeCostFn& cost,
                                       const BanSet* bans,
                                       const CancelToken* cancel) {
+  ++searches_;
   return Classify(dijkstra_.ShortestPath(source, target, cost, bans, cancel),
                   cancel);
 }
@@ -32,6 +33,7 @@ SearchResult DijkstraEngine::FindPath(VertexId source, VertexId target,
 SearchResult AStarEngine::FindPath(VertexId source, VertexId target,
                                    const EdgeCostFn& cost, const BanSet* bans,
                                    const CancelToken* cancel) {
+  ++searches_;
   return Classify(astar_.ShortestPath(source, target, cost, bans, cancel),
                   cancel);
 }
@@ -47,6 +49,7 @@ SearchResult AltEngine::FindPath(VertexId source, VertexId target,
   // metric; a mismatched query metric would silently return wrong paths.
   PR_CHECK(tables_->CompatibleWith(cost))
       << "AltEngine query metric does not match the preprocessing metric";
+  ++searches_;
   return Classify(alt_.ShortestPath(source, target, bans, cancel), cancel);
 }
 

@@ -25,6 +25,7 @@
 // therefore Yen candidate sets — are bitwise identical across engines.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 
 #include "common/deadline.h"
@@ -90,6 +91,14 @@ class ShortestPathEngine {
 
   /// Vertices settled by the last FindPath (diagnostics/benchmarks).
   virtual size_t last_settled_count() const = 0;
+
+  /// FindPath calls answered so far, whatever their outcome. For an
+  /// engine that served one Yen enumeration this is the first
+  /// shortest-path search plus every spur search.
+  uint64_t searches() const { return searches_; }
+
+ protected:
+  uint64_t searches_ = 0;
 };
 
 /// Plain Dijkstra. The default spur engine; YenEnumerator without an

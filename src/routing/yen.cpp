@@ -65,7 +65,7 @@ std::optional<Path> YenEnumerator::Next() {
 
   // Generate deviations of the most recently accepted path, then pop the
   // cheapest candidate overall.
-  if (!GenerateSpurs(accepted_.back())) {
+  if (!GenerateSpurs(accepted_.back(), last_deviation_)) {
     // The spur pass was cut short, so the candidate pool may be missing
     // cheaper deviations: popping from it could yield out-of-order paths.
     // Stop here; accepted() still holds a correct (partial) prefix.
@@ -78,15 +78,18 @@ std::optional<Path> YenEnumerator::Next() {
   }
   auto it = candidates_.begin();
   accepted_.push_back(it->path);
+  last_deviation_ = it->spur_index;
   candidates_.erase(it);
   return accepted_.back();
 }
 
-bool YenEnumerator::GenerateSpurs(const Path& base) {
-  // For each spur position i on the base path: root = base[0..i],
-  // ban (a) the i-th edge of every accepted path sharing that root and
-  // (b) all root vertices except the spur node, then search spur->target.
-  for (size_t i = 0; i + 1 < base.vertices.size(); ++i) {
+bool YenEnumerator::GenerateSpurs(const Path& base, size_t first_spur) {
+  // For each spur position i on the base path from its deviation index
+  // on: root = base[0..i], ban (a) the i-th edge of every accepted path
+  // sharing that root and (b) all root vertices except the spur node,
+  // then search spur->target. Positions before the deviation index are
+  // Lawler's skip (see yen.h).
+  for (size_t i = first_spur; i + 1 < base.vertices.size(); ++i) {
     const VertexId spur = base.vertices[i];
 
     bans_.Clear();

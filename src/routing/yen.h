@@ -10,6 +10,17 @@
 // ALT engine over per-epoch landmark tables to accelerate cold routes.
 // Because every engine is exact, the candidate sets are identical across
 // engines whenever shortest paths are unique.
+//
+// Lawler's rule (Lawler 1972): an accepted path spurs only from its
+// deviation index on — the position where it left the path it was
+// derived from (0 for the first path). For a spur position i below that
+// index the root base[0..i] and the set of accepted next edges after it
+// are exactly what they were when that spur search last ran (the new
+// path follows its parent there), so the search would repeat the same
+// (spur, bans) query, get the same path back from the deterministic
+// engine, and drop it as already generated. Skipping it changes no
+// candidate and no pool order; yen_test checks the output bitwise
+// against a reference that spurs from index 0.
 #pragma once
 
 #include <memory>
@@ -25,9 +36,9 @@
 
 namespace pathrank::routing {
 
-/// Incremental k-shortest-simple-paths enumerator (Yen 1971, with the
-/// standard root-path sharing optimisation). Create one per (source,
-/// target) query; call Next() repeatedly.
+/// Incremental k-shortest-simple-paths enumerator (Yen 1971, with
+/// Lawler's deviation-index rule). Create one per (source, target) query;
+/// call Next() repeatedly.
 class YenEnumerator {
  public:
   /// `cancel` (optional, borrowed — must outlive the enumerator) threads
@@ -68,7 +79,10 @@ class YenEnumerator {
  private:
   struct Candidate {
     double cost;
-    // Deviation position: index into the parent path where the spur starts.
+    /// Deviation index: the position on the parent path whose vertex is
+    /// the spur node. The candidate shares the parent's first
+    /// spur_index + 1 vertices and leaves it by a different edge there;
+    /// once accepted, its own spur pass starts at this index.
     size_t spur_index;
     Path path;
     bool operator<(const Candidate& o) const {
@@ -77,9 +91,10 @@ class YenEnumerator {
     }
   };
 
-  /// Generates deviations of `base`. Returns false when a spur search was
-  /// cancelled mid-pass (the pool may be missing cheaper deviations).
-  bool GenerateSpurs(const Path& base);
+  /// Generates deviations of `base` at spur positions first_spur and
+  /// later. Returns false when a spur search was cancelled mid-pass (the
+  /// pool may be missing cheaper deviations).
+  bool GenerateSpurs(const Path& base, size_t first_spur);
   uint64_t HashVertexSeq(const std::vector<VertexId>& seq) const;
 
   const RoadNetwork* network_;
@@ -96,6 +111,9 @@ class YenEnumerator {
   bool exhausted_ = false;
   bool cancelled_ = false;
   bool first_done_ = false;
+  /// Deviation index of accepted_.back(): where its spur pass starts (0
+  /// for the first path).
+  size_t last_deviation_ = 0;
 };
 
 /// One-shot convenience: up to k shortest simple paths in cost order.

@@ -1106,6 +1106,8 @@ json::Value StatszJson(const HttpServerStats& stats,
     planner["enumerations"] = json::Value(stats.route_planner.enumerations);
     planner["alt_fallbacks"] =
         json::Value(stats.route_planner.alt_fallbacks);
+    planner["spur_searches"] =
+        json::Value(stats.route_planner.spur_searches);
     object["route_planner"] = json::Value(std::move(planner));
   }
   {

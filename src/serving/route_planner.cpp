@@ -122,6 +122,7 @@ RoutePlannerStats RoutePlanner::stats() const {
   s.single_flight_waits = single_flight_waits();
   s.enumerations = enumerations();
   s.alt_fallbacks = alt_fallbacks();
+  s.spur_searches = spur_searches();
   return s;
 }
 
@@ -132,12 +133,13 @@ RoutePlanner::CacheValue RoutePlanner::Enumerate(
   enumerations_.fetch_add(1, std::memory_order_relaxed);
   if (config_.enumeration_hook) config_.enumeration_hook();
 
-  // One engine per enumeration: engines are single-threaded scratch.
-  // nullptr = Yen's own Dijkstra, bitwise the pre-seam behaviour.
+  // One engine per enumeration: engines are single-threaded scratch, and
+  // owning it here is what lets the planner count its searches.
   std::unique_ptr<routing::ShortestPathEngine> engine;
   const char* algo = SpurEngineName(SpurEngine::kDijkstra);
   switch (config_.spur_engine) {
     case SpurEngine::kDijkstra:
+      engine = std::make_unique<routing::DijkstraEngine>(network);
       break;
     case SpurEngine::kAlt:
       if (tables != nullptr) {
@@ -151,6 +153,7 @@ RoutePlanner::CacheValue RoutePlanner::Enumerate(
         // No current-epoch artifact (rebuild in flight, or preprocessing
         // never enabled): exact Dijkstra fallback, never stale bounds.
         alt_fallbacks_.fetch_add(1, std::memory_order_relaxed);
+        engine = std::make_unique<routing::DijkstraEngine>(network);
       }
       break;
   }
@@ -160,6 +163,7 @@ RoutePlanner::CacheValue RoutePlanner::Enumerate(
   set->paths = data::GenerateCandidatePaths(network, request.source,
                                             request.destination, gen, cancel,
                                             engine.get());
+  spur_searches_.fetch_add(engine->searches(), std::memory_order_relaxed);
   return set;
 }
 

@@ -875,6 +875,9 @@ TEST(RouteHttp, DefaultEngineReportsDijkstraAlgoOnMissAndHit) {
   ASSERT_NE(planner_stats, nullptr);
   ASSERT_NE(planner_stats->Find("alt_fallbacks"), nullptr);
   EXPECT_EQ(planner_stats->Find("alt_fallbacks")->number_value(), 0.0);
+  // The one miss ran Yen: its first search plus at least one spur.
+  ASSERT_NE(planner_stats->Find("spur_searches"), nullptr);
+  EXPECT_GE(planner_stats->Find("spur_searches")->number_value(), 2.0);
 }
 
 TEST(RouteHttp, AltEngineReportsAlgoAndPreprocessingStatsz) {

@@ -14,6 +14,7 @@
 
 #include "core/model.h"
 #include "graph/network_builder.h"
+#include "routing/shortest_path_engine.h"
 #include "serving/http_server.h"
 #include "serving/json.h"
 #include "serving/model_snapshot.h"
@@ -140,6 +141,22 @@ TEST(RoutePlanner, CacheHitIsBitwiseIdenticalAndSkipsEnumeration) {
   EXPECT_EQ(fx.planner.cache_hits(), 1u);
   EXPECT_EQ(fx.planner.cache_misses(), 1u);
   ExpectSameRanking(hit.ranked, miss.ranked);
+}
+
+TEST(RoutePlanner, SpurSearchesCountEnumerationSearchesOnly) {
+  PlannerFixture fx;
+  // The planner's Dijkstra engine is the one Yen would own anyway, so the
+  // same enumeration offline runs exactly the searches a miss must add.
+  routing::DijkstraEngine reference(fx.network);
+  data::GenerateCandidatePaths(fx.network, 5, 60, GenConfig(), nullptr,
+                               &reference);
+  ASSERT_GT(reference.searches(), 1u);
+
+  EXPECT_EQ(fx.planner.stats().spur_searches, 0u);
+  ASSERT_FALSE(fx.planner.Plan({5, 60}).cache_hit);
+  EXPECT_EQ(fx.planner.spur_searches(), reference.searches());
+  ASSERT_TRUE(fx.planner.Plan({5, 60}).cache_hit);
+  EXPECT_EQ(fx.planner.stats().spur_searches, reference.searches());
 }
 
 TEST(RoutePlanner, LruEvictsLeastRecentlyUsed) {

@@ -777,12 +777,13 @@ int RunHttpFrontEnd(const Args& args, const graph::RoadNetwork& network,
               static_cast<unsigned long long>(planner.cache_misses()));
   std::printf("graph: epoch %llu  %llu traffic batch(es)  "
               "%llu invalidation(s)  %llu single-flight wait(s)  "
-              "%llu enumeration(s)\n",
+              "%llu enumeration(s)  %llu spur search(es)\n",
               static_cast<unsigned long long>(graph_store.epoch()),
               static_cast<unsigned long long>(graph_store.traffic_batches()),
               static_cast<unsigned long long>(planner.invalidations()),
               static_cast<unsigned long long>(planner.single_flight_waits()),
-              static_cast<unsigned long long>(planner.enumerations()));
+              static_cast<unsigned long long>(planner.enumerations()),
+              static_cast<unsigned long long>(planner.spur_searches()));
   if (spur_engine == serving::SpurEngine::kAlt) {
     const serving::PreprocessingStats pre = graph_store.preprocessing_stats();
     std::printf("preprocessing: %d landmarks  %llu rebuild(s)  "
