@@ -1,13 +1,16 @@
-// Micro-benchmarks of the routing substrate: point-to-point engines and
-// the candidate generators across network sizes.
+// Micro-benchmarks of the routing substrate: point-to-point Dijkstra in
+// both modes (plain and ALT) and the candidate generators across network
+// sizes.
 #include <benchmark/benchmark.h>
+
+#include <memory>
 
 #include "common/rng.h"
 #include "graph/network_builder.h"
-#include "routing/astar.h"
 #include "routing/cost_model.h"
 #include "routing/dijkstra.h"
 #include "routing/diversified.h"
+#include "routing/preprocessed_graph.h"
 #include "routing/yen.h"
 
 namespace {
@@ -49,10 +52,10 @@ void BM_Dijkstra(benchmark::State& state) {
 }
 BENCHMARK(BM_Dijkstra)->Arg(16)->Arg(32)->Arg(64);
 
-void BM_AStar(benchmark::State& state) {
+void BM_Alt(benchmark::State& state) {
   const auto net = MakeNetwork(static_cast<int>(state.range(0)));
   const auto cost = EdgeCostFn::Length(net);
-  AStar engine(net);
+  Dijkstra engine(net, std::make_shared<const PreprocessedGraph>(net, cost));
   uint64_t salt = 0;
   for (auto _ : state) {
     const auto [s, t] = PickQuery(net, salt++ % 16);
@@ -62,7 +65,7 @@ void BM_AStar(benchmark::State& state) {
   state.counters["settled"] =
       static_cast<double>(engine.last_settled_count());
 }
-BENCHMARK(BM_AStar)->Arg(16)->Arg(32)->Arg(64);
+BENCHMARK(BM_Alt)->Arg(16)->Arg(32)->Arg(64);
 
 void BM_YenTopK(benchmark::State& state) {
   const auto net = MakeNetwork(24);

@@ -24,7 +24,7 @@ std::string CandidateStrategyName(CandidateStrategy strategy) {
 std::vector<routing::Path> GenerateCandidatePaths(
     const graph::RoadNetwork& network, graph::VertexId source,
     graph::VertexId destination, const CandidateGenConfig& config,
-    const CancelToken* cancel, routing::ShortestPathEngine* engine) {
+    const CancelToken* cancel, routing::Dijkstra* search) {
   // Candidates are enumerated under free-flow travel time: the metric
   // commercial routing engines optimise and the domain the simulated
   // drivers perturb. (Length-based enumeration systematically misses the
@@ -33,14 +33,14 @@ std::vector<routing::Path> GenerateCandidatePaths(
   switch (config.strategy) {
     case CandidateStrategy::kTopK:
       return routing::TopKShortestPaths(network, source, destination, cost,
-                                        config.k, cancel, engine);
+                                        config.k, cancel, search);
     case CandidateStrategy::kDiversifiedTopK: {
       routing::DiversifiedOptions options;
       options.k = config.k;
       options.similarity_threshold = config.similarity_threshold;
       options.max_enumerated = config.max_enumerated;
       return routing::DiversifiedTopK(network, source, destination, cost,
-                                      options, cancel, engine);
+                                      options, cancel, search);
     }
     case CandidateStrategy::kPenalty: {
       routing::PenaltyOptions options;

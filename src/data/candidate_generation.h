@@ -16,7 +16,7 @@
 #include "traj/trajectory.h"
 
 namespace pathrank::routing {
-class ShortestPathEngine;
+class Dijkstra;
 }  // namespace pathrank::routing
 
 namespace pathrank::data {
@@ -68,16 +68,16 @@ struct RankingQuery {
 /// `cancel` (optional, serving only — training never sets it) threads
 /// cooperative cancellation into the strategy's enumeration loops; when
 /// it expires mid-run the candidates found so far are returned.
-/// `engine` (optional, borrowed, not thread-safe — one per concurrent
+/// `search` (optional, borrowed, not thread-safe — one per concurrent
 /// call) runs the Yen spur searches of the kTopK and kDiversifiedTopK
 /// strategies; nullptr = owned plain Dijkstra. kPenalty re-weights edges
-/// each iteration, which invalidates any preprocessing-based engine, so
-/// it always searches with its own Dijkstra and ignores `engine`.
+/// each iteration, which invalidates any landmark tables, so it always
+/// searches with its own plain Dijkstra and ignores `search`.
 std::vector<routing::Path> GenerateCandidatePaths(
     const graph::RoadNetwork& network, graph::VertexId source,
     graph::VertexId destination, const CandidateGenConfig& config,
     const CancelToken* cancel = nullptr,
-    routing::ShortestPathEngine* engine = nullptr);
+    routing::Dijkstra* search = nullptr);
 
 /// Generates the candidate set for one trip. Candidates are computed with
 /// the free-flow travel-time metric (the advanced-routing component of the

@@ -12,7 +12,7 @@ std::vector<Path> DiversifiedTopK(const RoadNetwork& network, VertexId source,
                                   VertexId target, const EdgeCostFn& cost,
                                   const DiversifiedOptions& options,
                                   const CancelToken* cancel,
-                                  ShortestPathEngine* engine) {
+                                  Dijkstra* search) {
   PR_CHECK(options.k >= 1);
   PR_CHECK(options.similarity_threshold >= 0.0 &&
            options.similarity_threshold <= 1.0);
@@ -21,7 +21,7 @@ std::vector<Path> DiversifiedTopK(const RoadNetwork& network, VertexId source,
   // token makes Next() return nullopt, which ends the loop below and
   // falls through to the normal pad-and-sort — so a cancelled run returns
   // a well-formed (just shorter) candidate set.
-  YenEnumerator yen(network, source, target, cost, cancel, engine);
+  YenEnumerator yen(network, source, target, cost, cancel, search);
   std::vector<Path> accepted;
   std::vector<Path> rejected;
   int enumerated = 0;

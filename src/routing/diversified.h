@@ -16,7 +16,7 @@
 
 namespace pathrank::routing {
 
-class ShortestPathEngine;
+class Dijkstra;
 
 /// Options for diversified enumeration.
 struct DiversifiedOptions {
@@ -38,12 +38,12 @@ struct DiversifiedOptions {
 /// Returns up to k mutually diverse shortest paths in cost order. When
 /// `cancel` expires mid-enumeration the paths accepted so far (padded
 /// with already-enumerated rejects when configured) are returned —
-/// possibly fewer than k, possibly zero. `engine` (optional, borrowed)
+/// possibly fewer than k, possibly zero. `search` (optional, borrowed)
 /// runs the underlying Yen spur searches; nullptr = owned plain Dijkstra.
 std::vector<Path> DiversifiedTopK(const RoadNetwork& network, VertexId source,
                                   VertexId target, const EdgeCostFn& cost,
                                   const DiversifiedOptions& options,
                                   const CancelToken* cancel = nullptr,
-                                  ShortestPathEngine* engine = nullptr);
+                                  Dijkstra* search = nullptr);
 
 }  // namespace pathrank::routing

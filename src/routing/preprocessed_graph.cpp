@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <queue>
 
 #include "common/logging.h"
 #include "routing/dijkstra.h"
@@ -12,27 +11,10 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// One-to-all distances over *reversed* edges: d(v -> source) for all v.
-std::vector<double> ReverseDistances(const graph::RoadNetwork& net,
-                                     VertexId source, const EdgeCostFn& cost) {
-  std::vector<double> dist(net.num_vertices(), kInf);
-  dist[source] = 0.0;
-  using Entry = std::pair<double, VertexId>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> queue;
-  queue.push({0.0, source});
-  while (!queue.empty()) {
-    const auto [d, u] = queue.top();
-    queue.pop();
-    if (d > dist[u]) continue;
-    for (graph::EdgeId e : net.InEdges(u)) {
-      const auto& rec = net.edge(e);
-      const double nd = d + cost(e);
-      if (nd < dist[rec.from]) {
-        dist[rec.from] = nd;
-        queue.push({nd, rec.from});
-      }
-    }
-  }
+/// The last sweep's distances for every vertex (+inf where unreached).
+std::vector<double> SweepDistances(const Dijkstra& sweep, size_t n) {
+  std::vector<double> dist(n);
+  for (VertexId v = 0; v < n; ++v) dist[v] = sweep.DistanceTo(v);
   return dist;
 }
 
@@ -51,20 +33,17 @@ PreprocessedGraph::PreprocessedGraph(const RoadNetwork& network,
   PR_CHECK(num_landmarks >= 1);
   PR_CHECK(network.num_vertices() > 0);
 
-  Dijkstra dijkstra(network);
+  Dijkstra sweep(network);
   // Farthest-point landmark selection: start from vertex 0, repeatedly add
   // the vertex farthest (under the metric) from the current landmark set.
   VertexId current = 0;
   std::vector<double> min_dist(network.num_vertices(), kInf);
   for (int l = 0; l < num_landmarks; ++l) {
     landmarks_.push_back(current);
-    dijkstra.ComputeAllFrom(current, cost);
-    std::vector<double> from(network.num_vertices(), kInf);
-    for (VertexId v = 0; v < network.num_vertices(); ++v) {
-      if (dijkstra.Reached(v)) from[v] = dijkstra.DistanceTo(v);
-    }
-    dist_to_.push_back(ReverseDistances(network, current, cost));
-    dist_from_.push_back(std::move(from));
+    sweep.ComputeAllFrom(current, cost);
+    dist_from_.push_back(SweepDistances(sweep, network.num_vertices()));
+    sweep.ComputeAllTo(current, cost);
+    dist_to_.push_back(SweepDistances(sweep, network.num_vertices()));
 
     // Update farthest-point bookkeeping and pick the next landmark.
     VertexId next = current;

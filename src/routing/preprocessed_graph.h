@@ -13,8 +13,8 @@
 //
 // The type is deliberately a plain data holder (no network pointer, no
 // query scratch) so one instance can be shared read-only across any
-// number of concurrent AltRouter/AltEngine instances and outlive the
-// query that captured it. It is designed to grow — a CH-lite shortcut
+// number of concurrent routing::Dijkstra searches in ALT mode and outlive
+// the query that captured it. It is designed to grow — a CH-lite shortcut
 // overlay would live here next to the landmark tables.
 #pragma once
 
@@ -36,13 +36,23 @@ class PreprocessedGraph {
   enum class Metric { kLength, kTravelTime, kCustom };
 
   /// Preprocesses `num_landmarks` landmarks under `cost`: farthest-point
-  /// selection from vertex 0, then one forward and one reverse
-  /// one-to-all Dijkstra per landmark. O(L * E log V).
+  /// selection from vertex 0, then one forward (ComputeAllFrom) and one
+  /// reverse (ComputeAllTo) one-to-all Dijkstra sweep per landmark.
+  /// O(L * E log V).
   PreprocessedGraph(const RoadNetwork& network, const EdgeCostFn& cost,
                     int num_landmarks = 8);
 
   /// The selected landmark vertices (diagnostics/tests).
   const std::vector<VertexId>& landmarks() const { return landmarks_; }
+
+  /// The tables of landmark `l`, indexed by vertex v: d(landmark -> v)
+  /// and d(v -> landmark), +inf where unreachable (diagnostics/tests).
+  const std::vector<double>& distances_from(size_t l) const {
+    return dist_from_[l];
+  }
+  const std::vector<double>& distances_to(size_t l) const {
+    return dist_to_[l];
+  }
 
   /// Vertex count of the network the tables index — a cheap structural
   /// guard against pairing the artifact with the wrong snapshot.

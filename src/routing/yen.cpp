@@ -8,35 +8,20 @@ namespace pathrank::routing {
 
 YenEnumerator::YenEnumerator(const RoadNetwork& network, VertexId source,
                              VertexId target, const EdgeCostFn& cost,
-                             const CancelToken* cancel,
-                             ShortestPathEngine* engine)
+                             const CancelToken* cancel, Dijkstra* search)
     : network_(&network),
       source_(source),
       target_(target),
       cost_(cost),
       cancel_(cancel),
-      owned_engine_(engine == nullptr
-                        ? std::make_unique<DijkstraEngine>(network)
-                        : nullptr),
-      engine_(engine != nullptr ? engine : owned_engine_.get()),
+      owned_search_(search == nullptr ? std::make_unique<Dijkstra>(network)
+                                      : nullptr),
+      search_(search != nullptr ? search : owned_search_.get()),
       bans_(network.num_vertices(), network.num_edges()) {}
-
-uint64_t YenEnumerator::HashVertexSeq(
-    const std::vector<VertexId>& seq) const {
-  // FNV-1a over the raw vertex ids; collisions are vanishingly unlikely at
-  // the path counts Yen enumerates (hundreds), and a collision merely
-  // suppresses one candidate.
-  uint64_t h = 1469598103934665603ULL;
-  for (VertexId v : seq) {
-    h ^= v;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
 
 std::optional<Path> YenEnumerator::Next() {
   // Both latches make every later call O(1): exhaustion means the path
-  // space is provably empty, and cancellation is sticky — the engine's
+  // space is provably empty, and cancellation is sticky — the search's
   // explicit Cancelled outcome is what lets us latch instead of re-running
   // the whole exhausted-state check (spur pass + pool inspection) on every
   // call against an expired token.
@@ -48,7 +33,7 @@ std::optional<Path> YenEnumerator::Next() {
 
   if (!first_done_) {
     first_done_ = true;
-    SearchResult r = engine_->FindPath(source_, target_, cost_,
+    SearchResult r = search_->FindPath(source_, target_, cost_,
                                        /*bans=*/nullptr, cancel_);
     if (r.outcome == SearchOutcome::kCancelled) {
       cancelled_ = true;
@@ -59,7 +44,6 @@ std::optional<Path> YenEnumerator::Next() {
       return std::nullopt;
     }
     accepted_.push_back(std::move(r.path));
-    seen_hash_.insert(HashVertexSeq(accepted_.back().vertices));
     return accepted_.back();
   }
 
@@ -85,19 +69,22 @@ std::optional<Path> YenEnumerator::Next() {
 
 bool YenEnumerator::GenerateSpurs(const Path& base, size_t first_spur) {
   // For each spur position i on the base path from its deviation index
-  // on: root = base[0..i], ban (a) the i-th edge of every accepted path
-  // sharing that root and (b) all root vertices except the spur node,
-  // then search spur->target. Positions before the deviation index are
-  // Lawler's skip (see yen.h).
+  // on: root = base[0..i], ban (a) every out-edge from the spur to the
+  // (i+1)-th vertex of an accepted path sharing that root and (b) all
+  // root vertices except the spur node, then search spur->target.
+  // Positions before the deviation index are Lawler's skip (see yen.h).
   for (size_t i = first_spur; i + 1 < base.vertices.size(); ++i) {
     const VertexId spur = base.vertices[i];
 
     bans_.Clear();
     for (const Path& p : accepted_) {
-      if (p.vertices.size() > i &&
+      if (p.vertices.size() > i + 1 &&
           std::equal(p.vertices.begin(), p.vertices.begin() + i + 1,
                      base.vertices.begin())) {
-        if (i < p.edges.size()) bans_.BanEdge(p.edges[i]);
+        const VertexId next = p.vertices[i + 1];
+        for (EdgeId e : network_->OutEdges(spur)) {
+          if (network_->edge(e).to == next) bans_.BanEdge(e);
+        }
       }
     }
     for (size_t j = 0; j < i; ++j) {
@@ -105,7 +92,7 @@ bool YenEnumerator::GenerateSpurs(const Path& base, size_t first_spur) {
     }
 
     SearchResult r =
-        engine_->FindPath(spur, target_, cost_, &bans_, cancel_);
+        search_->FindPath(spur, target_, cost_, &bans_, cancel_);
     if (r.outcome == SearchOutcome::kCancelled) return false;
     if (r.outcome == SearchOutcome::kUnreachable) continue;
     Path& spur_path = r.path;
@@ -120,8 +107,6 @@ bool YenEnumerator::GenerateSpurs(const Path& base, size_t first_spur) {
     cand.path.vertices.insert(cand.path.vertices.end(),
                               spur_path.vertices.begin(),
                               spur_path.vertices.end());
-    const uint64_t h = HashVertexSeq(cand.path.vertices);
-    if (!seen_hash_.insert(h).second) continue;  // already generated
 
     double root_cost = 0.0;
     for (size_t j = 0; j < i; ++j) root_cost += cost_(base.edges[j]);
@@ -137,9 +122,9 @@ std::vector<Path> TopKShortestPaths(const RoadNetwork& network,
                                     VertexId source, VertexId target,
                                     const EdgeCostFn& cost, int k,
                                     const CancelToken* cancel,
-                                    ShortestPathEngine* engine) {
+                                    Dijkstra* search) {
   PR_CHECK(k >= 1) << "k must be positive";
-  YenEnumerator yen(network, source, target, cost, cancel, engine);
+  YenEnumerator yen(network, source, target, cost, cancel, search);
   std::vector<Path> out;
   out.reserve(static_cast<size_t>(k));
   for (int i = 0; i < k; ++i) {

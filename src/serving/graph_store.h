@@ -74,8 +74,9 @@ struct TrafficResult {
 /// Routing-preprocessing configuration for EnablePreprocessing.
 struct PreprocessOptions {
   /// ALT landmarks per artifact. More landmarks = tighter lower bounds =
-  /// fewer settled vertices per query, at num_landmarks Dijkstra sweeps
-  /// of rebuild cost and two doubles per (landmark, vertex) of memory.
+  /// fewer settled vertices per query, at two Dijkstra sweeps (forward
+  /// and reverse) per landmark of rebuild cost and two doubles per
+  /// (landmark, vertex) of memory.
   int num_landmarks = 8;
   /// Test seam: runs on the worker thread before each BACKGROUND rebuild
   /// starts building tables (never for the synchronous boot-time build).
@@ -194,7 +195,7 @@ class GraphStore {
       REQUIRES(rebuild_mu_) EXCLUDES(mu_);
 
   /// Builds the (snapshot, tables) artifact for `snap`. Runs unlocked —
-  /// this is the expensive part (num_landmarks full Dijkstra sweeps).
+  /// this is the expensive part (2 * num_landmarks full Dijkstra sweeps).
   std::shared_ptr<const GraphArtifact> BuildArtifact(
       std::shared_ptr<const graph::GraphSnapshot> snap) const EXCLUDES(mu_);
 

@@ -2,8 +2,8 @@
 
 #include "common/logging.h"
 #include "routing/cost_model.h"
+#include "routing/dijkstra.h"
 #include "routing/preprocessed_graph.h"
-#include "routing/shortest_path_engine.h"
 
 namespace pathrank::serving {
 
@@ -133,37 +133,25 @@ RoutePlanner::CacheValue RoutePlanner::Enumerate(
   enumerations_.fetch_add(1, std::memory_order_relaxed);
   if (config_.enumeration_hook) config_.enumeration_hook();
 
-  // One engine per enumeration: engines are single-threaded scratch, and
-  // owning it here is what lets the planner count its searches.
-  std::unique_ptr<routing::ShortestPathEngine> engine;
-  const char* algo = SpurEngineName(SpurEngine::kDijkstra);
-  switch (config_.spur_engine) {
-    case SpurEngine::kDijkstra:
-      engine = std::make_unique<routing::DijkstraEngine>(network);
-      break;
-    case SpurEngine::kAlt:
-      if (tables != nullptr) {
-        // Candidate generation enumerates under free-flow travel time —
-        // the metric the tables were preprocessed with (checked again by
-        // AltEngine per call).
-        engine = std::make_unique<routing::AltEngine>(
-            network, routing::EdgeCostFn::TravelTime(network), tables);
-        algo = SpurEngineName(SpurEngine::kAlt);
-      } else {
-        // No current-epoch artifact (rebuild in flight, or preprocessing
-        // never enabled): exact Dijkstra fallback, never stale bounds.
-        alt_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-        engine = std::make_unique<routing::DijkstraEngine>(network);
-      }
-      break;
+  const bool alt = config_.spur_engine == SpurEngine::kAlt;
+  if (alt && tables == nullptr) {
+    // No current-epoch artifact (rebuild in flight, or preprocessing never
+    // enabled): exact Dijkstra fallback, never stale bounds.
+    alt_fallbacks_.fetch_add(1, std::memory_order_relaxed);
   }
+  // One search per enumeration: it is single-threaded scratch, and owning
+  // it here is what lets the planner count its searches. Candidate
+  // generation enumerates under free-flow travel time — the metric the
+  // tables were preprocessed with (checked again by the search per call).
+  routing::Dijkstra search(network, alt ? tables : nullptr);
 
   auto set = std::make_shared<CandidateSet>();
-  set->algo = algo;
+  set->algo = SpurEngineName(search.tables() != nullptr ? SpurEngine::kAlt
+                                                        : SpurEngine::kDijkstra);
   set->paths = data::GenerateCandidatePaths(network, request.source,
                                             request.destination, gen, cancel,
-                                            engine.get());
-  spur_searches_.fetch_add(engine->searches(), std::memory_order_relaxed);
+                                            &search);
+  spur_searches_.fetch_add(search.searches(), std::memory_order_relaxed);
   return set;
 }
 

@@ -38,14 +38,14 @@
 // candidate set, so an invalidation storm costs one enumeration per
 // distinct key, not one per request.
 //
-// Spur engine: enumeration runs through the routing::ShortestPathEngine
-// seam, selected by RoutePlannerConfig::spur_engine. An ALT planner over
+// Spur engine: each enumeration runs one routing::Dijkstra, plain or in
+// ALT mode as RoutePlannerConfig::spur_engine selects. An ALT planner over
 // a GraphStore captures the snapshot AND the preprocessing artifact
 // pairwise (one lock hold) per query, and uses the landmark tables only
 // when the artifact's epoch matches the snapshot's — mid-rebuild queries
 // fall back to plain Dijkstra (exact, just slower; counted in
-// alt_fallbacks). Every engine returns exact shortest paths, so the
-// response body is independent of the engine modulo the "algo" field.
+// alt_fallbacks). Both modes return exact shortest paths, so the
+// response body is independent of the mode modulo the "algo" field.
 //
 // Thread-safety: Plan may be called concurrently from any number of
 // threads (the HTTP worker pool does). The cache is guarded by one

@@ -1,14 +1,20 @@
-// ALT (A* with landmarks) correctness and effectiveness, plus the
-// penalty-based alternative-routes generator.
+// ALT (Dijkstra with a landmark potential) correctness and effectiveness,
+// the landmark tables themselves, plus the penalty-based alternative-routes
+// generator.
 #include <gtest/gtest.h>
+
+#include <cmath>
+#include <limits>
+#include <memory>
+#include <string>
 
 #include "common/rng.h"
 #include "graph/network_builder.h"
-#include "routing/alt.h"
 #include "routing/cost_model.h"
 #include "routing/dijkstra.h"
 #include "routing/path_similarity.h"
 #include "routing/penalty_alternatives.h"
+#include "routing/preprocessed_graph.h"
 
 namespace pathrank::routing {
 namespace {
@@ -18,12 +24,19 @@ using graph::BuildTestNetwork;
 using graph::RoadNetwork;
 using graph::SyntheticNetworkConfig;
 
+/// Dijkstra in ALT mode over freshly preprocessed tables.
+Dijkstra MakeAlt(const RoadNetwork& net, const EdgeCostFn& cost,
+                 int num_landmarks) {
+  return Dijkstra(net, std::make_shared<const PreprocessedGraph>(
+                           net, cost, num_landmarks));
+}
+
 class AltProperty : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(AltProperty, MatchesDijkstraOnLength) {
   const RoadNetwork net = BuildTestNetwork(GetParam());
   const auto cost = EdgeCostFn::Length(net);
-  AltRouter alt(net, cost, 6);
+  Dijkstra alt = MakeAlt(net, cost, 6);
   Dijkstra dijkstra(net);
   pathrank::Rng rng(GetParam() * 9 + 1);
   for (int i = 0; i < 30; ++i) {
@@ -31,7 +44,7 @@ TEST_P(AltProperty, MatchesDijkstraOnLength) {
     const auto t = static_cast<VertexId>(rng.NextBounded(net.num_vertices()));
     if (s == t) continue;
     const auto pd = dijkstra.ShortestPath(s, t, cost);
-    const auto pa = alt.ShortestPath(s, t);
+    const auto pa = alt.ShortestPath(s, t, cost);
     ASSERT_EQ(pd.has_value(), pa.has_value());
     if (pd.has_value()) {
       EXPECT_NEAR(pd->cost, pa->cost, 1e-6 * std::max(1.0, pd->cost));
@@ -47,7 +60,7 @@ TEST_P(AltProperty, MatchesDijkstraOnCustomMetric) {
   std::vector<double> weights(net.num_edges());
   for (double& w : weights) w = wrng.NextUniform(0.5, 3.0);
   const auto cost = EdgeCostFn::Custom(net, weights);
-  AltRouter alt(net, cost, 6);
+  Dijkstra alt = MakeAlt(net, cost, 6);
   Dijkstra dijkstra(net);
   pathrank::Rng rng(GetParam() * 11 + 5);
   for (int i = 0; i < 20; ++i) {
@@ -55,7 +68,7 @@ TEST_P(AltProperty, MatchesDijkstraOnCustomMetric) {
     const auto t = static_cast<VertexId>(rng.NextBounded(net.num_vertices()));
     if (s == t) continue;
     const auto pd = dijkstra.ShortestPath(s, t, cost);
-    const auto pa = alt.ShortestPath(s, t);
+    const auto pa = alt.ShortestPath(s, t, cost);
     ASSERT_EQ(pd.has_value(), pa.has_value());
     if (pd.has_value()) {
       EXPECT_NEAR(pd->cost, pa->cost, 1e-6 * std::max(1.0, pd->cost));
@@ -71,7 +84,7 @@ TEST(Alt, SettlesFewerVerticesThanDijkstra) {
   cfg.cols = 28;
   const RoadNetwork net = BuildSyntheticNetwork(cfg);
   const auto cost = EdgeCostFn::Length(net);
-  AltRouter alt(net, cost, 8);
+  Dijkstra alt = MakeAlt(net, cost, 8);
   Dijkstra dijkstra(net);
   pathrank::Rng rng(5);
   size_t settled_alt = 0;
@@ -81,7 +94,7 @@ TEST(Alt, SettlesFewerVerticesThanDijkstra) {
     const auto t = static_cast<VertexId>(rng.NextBounded(net.num_vertices()));
     if (s == t) continue;
     dijkstra.ShortestPath(s, t, cost);
-    alt.ShortestPath(s, t);
+    alt.ShortestPath(s, t, cost);
     settled_dij += dijkstra.last_settled_count();
     settled_alt += alt.last_settled_count();
   }
@@ -91,11 +104,72 @@ TEST(Alt, SettlesFewerVerticesThanDijkstra) {
 
 TEST(Alt, LandmarksAreDistinct) {
   const RoadNetwork net = BuildTestNetwork(3);
-  AltRouter alt(net, EdgeCostFn::Length(net), 6);
-  auto lm = alt.landmarks();
+  const PreprocessedGraph tables(net, EdgeCostFn::Length(net), 6);
+  auto lm = tables.landmarks();
   std::sort(lm.begin(), lm.end());
   EXPECT_EQ(std::unique(lm.begin(), lm.end()), lm.end());
   EXPECT_EQ(lm.size(), 6u);
+}
+
+/// Bellman-Ford over every edge: d(root -> v), or d(v -> root) when
+/// `reverse`.
+std::vector<double> BellmanFord(const RoadNetwork& net, VertexId root,
+                                const EdgeCostFn& cost, bool reverse) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> dist(net.num_vertices(), kInf);
+  dist[root] = 0.0;
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (graph::EdgeId e = 0; e < net.num_edges(); ++e) {
+      const auto& rec = net.edge(e);
+      const VertexId u = reverse ? rec.to : rec.from;
+      const VertexId v = reverse ? rec.from : rec.to;
+      if (dist[u] + cost(e) < dist[v] - 1e-12) {
+        dist[v] = dist[u] + cost(e);
+        changed = true;
+      }
+    }
+  }
+  return dist;
+}
+
+TEST(Alt, LandmarkTablesMatchBellmanFord) {
+  // Random per-edge weights make every road's two directions cost
+  // differently, so the forward and reverse tables differ and each sweep
+  // direction is checked on its own.
+  for (const uint64_t seed : {4u, 21u}) {
+    SyntheticNetworkConfig cfg;
+    cfg.rows = 9;
+    cfg.cols = 9;
+    cfg.seed = seed;
+    const RoadNetwork net = BuildSyntheticNetwork(cfg);
+    pathrank::Rng wrng(seed);
+    std::vector<double> weights(net.num_edges());
+    for (double& w : weights) w = wrng.NextUniform(0.5, 3.0);
+    const auto cost = EdgeCostFn::Custom(net, weights);
+    const PreprocessedGraph tables(net, cost, 5);
+    ASSERT_EQ(tables.landmarks().size(), 5u);
+    const auto expect_table = [](const std::vector<double>& got,
+                                 const std::vector<double>& want) {
+      ASSERT_EQ(got.size(), want.size());
+      for (size_t v = 0; v < want.size(); ++v) {
+        if (std::isinf(want[v])) {
+          EXPECT_TRUE(std::isinf(got[v])) << "vertex " << v;
+        } else {
+          EXPECT_NEAR(got[v], want[v], 1e-9 * std::max(1.0, want[v]))
+              << "vertex " << v;
+        }
+      }
+    };
+    for (size_t l = 0; l < tables.landmarks().size(); ++l) {
+      const VertexId landmark = tables.landmarks()[l];
+      SCOPED_TRACE("landmark " + std::to_string(landmark));
+      expect_table(tables.distances_from(l),
+                   BellmanFord(net, landmark, cost, /*reverse=*/false));
+      expect_table(tables.distances_to(l),
+                   BellmanFord(net, landmark, cost, /*reverse=*/true));
+    }
+  }
 }
 
 class PenaltyProperty : public ::testing::TestWithParam<uint64_t> {};

@@ -1,15 +1,14 @@
-// Engine-equivalence suite for the pluggable shortest-path seam: every
-// ShortestPathEngine adapter (dijkstra, astar, alt) must
-// be EXACT, so (1) point-to-point answers agree bitwise across engines
-// on randomized synthetic networks, with and without BanSet bans,
-// (2) Yen candidate sets produced through any engine are bitwise
-// identical to the plain-Dijkstra reference — the acceptance bar for
-// swapping a spur engine in production, (3) the tri-state SearchResult
-// separates unreachable from cancelled, and (4) a RoutePlanner over a
-// live GraphStore never pairs a new snapshot with stale ALT tables: a
-// query racing a rebuild falls back to exact Dijkstra (algo "dijkstra",
-// alt_fallbacks ticks) and returns to "alt" once the artifact catches
-// up. Runs under the ASan and TSan CI jobs.
+// Equivalence suite for the two modes of routing::Dijkstra — plain
+// (bound 0) and ALT (landmark potential). ALT must be EXACT, so
+// (1) point-to-point answers agree bitwise across the modes on randomized
+// synthetic networks, with and without BanSet bans, (2) Yen candidate
+// sets produced in ALT mode are bitwise identical to the plain-Dijkstra
+// reference — the acceptance bar for the serving spur engine, (3) the
+// tri-state SearchResult separates unreachable from cancelled, and (4) a
+// RoutePlanner over a live GraphStore never pairs a new snapshot with
+// stale ALT tables: a query racing a rebuild falls back to exact Dijkstra
+// (algo "dijkstra", alt_fallbacks ticks) and returns to "alt" once the
+// artifact catches up. Runs under the ASan and TSan CI jobs.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -27,7 +26,7 @@
 #include "routing/cost_model.h"
 #include "routing/path.h"
 #include "routing/preprocessed_graph.h"
-#include "routing/shortest_path_engine.h"
+#include "routing/dijkstra.h"
 #include "routing/yen.h"
 #include "serving/graph_store.h"
 #include "serving/route_planner.h"
@@ -44,34 +43,32 @@ graph::RoadNetwork SmallSynthetic(uint64_t seed) {
   return graph::BuildSyntheticNetwork(config);
 }
 
-/// All three adapters over one network + shared ALT tables.
-struct EngineSet {
+/// Both modes over one network: plain Dijkstra and ALT over shared tables.
+struct SearchSet {
   const graph::RoadNetwork& network;
   EdgeCostFn cost;
-  std::shared_ptr<const PreprocessedGraph> tables;
-  DijkstraEngine dijkstra;
-  AStarEngine astar;
-  AltEngine alt;
+  Dijkstra dijkstra;
+  Dijkstra alt;
 
-  explicit EngineSet(const graph::RoadNetwork& net)
+  explicit SearchSet(const graph::RoadNetwork& net)
       : network(net),
         cost(EdgeCostFn::TravelTime(net)),
-        tables(std::make_shared<const PreprocessedGraph>(net, cost,
-                                                         /*num_landmarks=*/6)),
         dijkstra(net),
-        astar(net),
-        alt(net, cost, tables) {}
+        alt(net, std::make_shared<const PreprocessedGraph>(
+                     net, cost, /*num_landmarks=*/6)) {}
 
-  std::vector<ShortestPathEngine*> all() {
-    return {&dijkstra, &astar, &alt};
-  }
+  std::vector<Dijkstra*> all() { return {&dijkstra, &alt}; }
 };
 
+const char* ModeName(const Dijkstra& search) {
+  return search.tables() != nullptr ? "alt" : "dijkstra";
+}
+
 void ExpectSamePath(const Path& expected, const Path& actual,
-                    const char* engine_name) {
-  EXPECT_EQ(expected.cost, actual.cost) << engine_name;
-  EXPECT_EQ(expected.vertices, actual.vertices) << engine_name;
-  EXPECT_EQ(expected.edges, actual.edges) << engine_name;
+                    const char* mode) {
+  EXPECT_EQ(expected.cost, actual.cost) << mode;
+  EXPECT_EQ(expected.vertices, actual.vertices) << mode;
+  EXPECT_EQ(expected.edges, actual.edges) << mode;
 }
 
 /// Deterministic pseudo-random queries without <random> — splitmix64.
@@ -82,10 +79,10 @@ uint64_t Mix(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-TEST(EngineEquivalence, AllEnginesAgreeOnRandomizedNetworks) {
+TEST(EngineEquivalence, BothModesAgreeOnRandomizedNetworks) {
   for (const uint64_t seed : {11u, 29u, 73u}) {
     const graph::RoadNetwork net = SmallSynthetic(seed);
-    EngineSet engines(net);
+    SearchSet modes(net);
     const size_t n = net.num_vertices();
     for (int q = 0; q < 40; ++q) {
       const auto s = static_cast<graph::VertexId>(Mix(seed * 131 + q) % n);
@@ -93,21 +90,21 @@ TEST(EngineEquivalence, AllEnginesAgreeOnRandomizedNetworks) {
           static_cast<graph::VertexId>(Mix(seed * 131 + q + 1000) % n);
       if (s == t) continue;
       const SearchResult ref =
-          engines.dijkstra.FindPath(s, t, engines.cost, nullptr, nullptr);
-      for (ShortestPathEngine* engine : engines.all()) {
+          modes.dijkstra.FindPath(s, t, modes.cost, nullptr, nullptr);
+      for (Dijkstra* search : modes.all()) {
         const SearchResult got =
-            engine->FindPath(s, t, engines.cost, nullptr, nullptr);
+            search->FindPath(s, t, modes.cost, nullptr, nullptr);
         ASSERT_EQ(ref.outcome, got.outcome)
-            << engine->name() << " " << s << "->" << t;
-        if (ref.found()) ExpectSamePath(ref.path, got.path, engine->name());
+            << ModeName(*search) << " " << s << "->" << t;
+        if (ref.found()) ExpectSamePath(ref.path, got.path, ModeName(*search));
       }
     }
   }
 }
 
-TEST(EngineEquivalence, AllEnginesAgreeUnderBanPermutations) {
+TEST(EngineEquivalence, BothModesAgreeUnderBanPermutations) {
   const graph::RoadNetwork net = SmallSynthetic(/*seed=*/5);
-  EngineSet engines(net);
+  SearchSet modes(net);
   const size_t n = net.num_vertices();
   BanSet bans(net.num_vertices(), net.num_edges());
   for (int round = 0; round < 24; ++round) {
@@ -125,56 +122,56 @@ TEST(EngineEquivalence, AllEnginesAgreeUnderBanPermutations) {
                                               net.num_edges()));
     }
     const SearchResult ref =
-        engines.dijkstra.FindPath(s, t, engines.cost, &bans, nullptr);
-    for (ShortestPathEngine* engine : engines.all()) {
+        modes.dijkstra.FindPath(s, t, modes.cost, &bans, nullptr);
+    for (Dijkstra* search : modes.all()) {
       const SearchResult got =
-          engine->FindPath(s, t, engines.cost, &bans, nullptr);
+          search->FindPath(s, t, modes.cost, &bans, nullptr);
       ASSERT_EQ(ref.outcome, got.outcome)
-          << engine->name() << " round " << round;
-      if (ref.found()) ExpectSamePath(ref.path, got.path, engine->name());
+          << ModeName(*search) << " round " << round;
+      if (ref.found()) ExpectSamePath(ref.path, got.path, ModeName(*search));
     }
   }
 }
 
 TEST(EngineEquivalence, BannedTargetIsUnreachableNeverCancelled) {
   const graph::RoadNetwork net = graph::BuildTestNetwork();
-  EngineSet engines(net);
+  SearchSet modes(net);
   BanSet bans(net.num_vertices(), net.num_edges());
   bans.BanVertex(63);  // bans block ARRIVAL: the target becomes unreachable
-  for (ShortestPathEngine* engine : engines.all()) {
+  for (Dijkstra* search : modes.all()) {
     const SearchResult r =
-        engine->FindPath(0, 63, engines.cost, &bans, nullptr);
-    EXPECT_EQ(r.outcome, SearchOutcome::kUnreachable) << engine->name();
+        search->FindPath(0, 63, modes.cost, &bans, nullptr);
+    EXPECT_EQ(r.outcome, SearchOutcome::kUnreachable) << ModeName(*search);
   }
   // ...while a banned SOURCE still departs.
   bans.Clear();
   bans.BanVertex(0);
-  for (ShortestPathEngine* engine : engines.all()) {
+  for (Dijkstra* search : modes.all()) {
     const SearchResult r =
-        engine->FindPath(0, 63, engines.cost, &bans, nullptr);
-    EXPECT_EQ(r.outcome, SearchOutcome::kFound) << engine->name();
+        search->FindPath(0, 63, modes.cost, &bans, nullptr);
+    EXPECT_EQ(r.outcome, SearchOutcome::kFound) << ModeName(*search);
   }
 }
 
 TEST(EngineEquivalence, ExpiredTokenReportsCancelledNotUnreachable) {
   const graph::RoadNetwork net = graph::BuildTestNetwork();
-  EngineSet engines(net);
+  SearchSet modes(net);
   const CancelToken cancel;
   cancel.Cancel();
-  for (ShortestPathEngine* engine : engines.all()) {
+  for (Dijkstra* search : modes.all()) {
     const SearchResult r =
-        engine->FindPath(0, 63, engines.cost, nullptr, &cancel);
-    EXPECT_EQ(r.outcome, SearchOutcome::kCancelled) << engine->name();
+        search->FindPath(0, 63, modes.cost, nullptr, &cancel);
+    EXPECT_EQ(r.outcome, SearchOutcome::kCancelled) << ModeName(*search);
   }
 }
 
-/// The production acceptance bar: Yen through ALT (and every other
-/// engine) yields the bitwise-identical candidate set to Yen through
-/// plain Dijkstra — same paths, same order, same costs.
-TEST(EngineEquivalence, YenCandidateSetsAreBitwiseIdenticalAcrossEngines) {
+/// The production acceptance bar: Yen through ALT yields the
+/// bitwise-identical candidate set to Yen through plain Dijkstra — same
+/// paths, same order, same costs.
+TEST(EngineEquivalence, YenCandidateSetsAreBitwiseIdenticalAcrossModes) {
   for (const uint64_t seed : {3u, 17u}) {
     const graph::RoadNetwork net = SmallSynthetic(seed);
-    EngineSet engines(net);
+    SearchSet modes(net);
     const size_t n = net.num_vertices();
     for (int q = 0; q < 8; ++q) {
       const auto s = static_cast<graph::VertexId>(Mix(seed + q * 37) % n);
@@ -182,13 +179,13 @@ TEST(EngineEquivalence, YenCandidateSetsAreBitwiseIdenticalAcrossEngines) {
           static_cast<graph::VertexId>(Mix(seed + q * 37 + 500) % n);
       if (s == t) continue;
       const std::vector<Path> ref =
-          TopKShortestPaths(net, s, t, engines.cost, /*k=*/6);
-      for (ShortestPathEngine* engine : engines.all()) {
+          TopKShortestPaths(net, s, t, modes.cost, /*k=*/6);
+      for (Dijkstra* search : modes.all()) {
         const std::vector<Path> got = TopKShortestPaths(
-            net, s, t, engines.cost, /*k=*/6, nullptr, engine);
-        ASSERT_EQ(ref.size(), got.size()) << engine->name();
+            net, s, t, modes.cost, /*k=*/6, nullptr, search);
+        ASSERT_EQ(ref.size(), got.size()) << ModeName(*search);
         for (size_t i = 0; i < ref.size(); ++i) {
-          ExpectSamePath(ref[i], got[i], engine->name());
+          ExpectSamePath(ref[i], got[i], ModeName(*search));
         }
       }
     }

@@ -846,7 +846,7 @@ TEST(TrafficHttp, ValidBatchBumpsEpochAndInvalidatesRouteCache) {
   EXPECT_EQ(traffic_endpoint->Find("errors")->number_value(), 0.0);
 }
 
-/// Satellite surface checks for the spur-engine seam: every /v1/route
+/// Surface checks for the --spur-engine choice: every /v1/route
 /// body names the engine that produced its candidate set, the algo a
 /// cache hit reports is the one that SEEDED the entry (hit and miss
 /// bodies stay byte-identical modulo cache_hit), and /statsz grows a

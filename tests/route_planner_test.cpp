@@ -14,7 +14,7 @@
 
 #include "core/model.h"
 #include "graph/network_builder.h"
-#include "routing/shortest_path_engine.h"
+#include "routing/dijkstra.h"
 #include "serving/http_server.h"
 #include "serving/json.h"
 #include "serving/model_snapshot.h"
@@ -145,9 +145,9 @@ TEST(RoutePlanner, CacheHitIsBitwiseIdenticalAndSkipsEnumeration) {
 
 TEST(RoutePlanner, SpurSearchesCountEnumerationSearchesOnly) {
   PlannerFixture fx;
-  // The planner's Dijkstra engine is the one Yen would own anyway, so the
+  // The planner's plain Dijkstra is the one Yen would own anyway, so the
   // same enumeration offline runs exactly the searches a miss must add.
-  routing::DijkstraEngine reference(fx.network);
+  routing::Dijkstra reference(fx.network);
   data::GenerateCandidatePaths(fx.network, 5, 60, GenConfig(), nullptr,
                                &reference);
   ASSERT_GT(reference.searches(), 1u);

@@ -1,12 +1,11 @@
-// Shortest-path correctness: Dijkstra against Bellman-Ford, A* against
-// Dijkstra, ban sets, and Path helpers.
+// Shortest-path correctness: Dijkstra's forward and reverse sweeps
+// against Bellman-Ford, ban sets, and Path helpers.
 #include <gtest/gtest.h>
 
 #include <limits>
 
 #include "common/rng.h"
 #include "graph/network_builder.h"
-#include "routing/astar.h"
 #include "routing/cost_model.h"
 #include "routing/dijkstra.h"
 #include "routing/path.h"
@@ -21,19 +20,22 @@ using graph::RoadNetworkBuilder;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Reference Bellman-Ford distances (no path reconstruction).
-std::vector<double> BellmanFord(const RoadNetwork& net, VertexId source,
-                                const EdgeCostFn& cost) {
+/// Reference Bellman-Ford distances (no path reconstruction): d(root -> v)
+/// over out-edges, or d(v -> root) over in-edges when `reverse`.
+std::vector<double> BellmanFord(const RoadNetwork& net, VertexId root,
+                                const EdgeCostFn& cost, bool reverse = false) {
   std::vector<double> dist(net.num_vertices(), kInf);
-  dist[source] = 0.0;
+  dist[root] = 0.0;
   for (size_t round = 0; round + 1 < net.num_vertices(); ++round) {
     bool changed = false;
     for (graph::EdgeId e = 0; e < net.num_edges(); ++e) {
       const auto& rec = net.edge(e);
-      if (dist[rec.from] == kInf) continue;
-      const double nd = dist[rec.from] + cost(e);
-      if (nd < dist[rec.to] - 1e-12) {
-        dist[rec.to] = nd;
+      const VertexId u = reverse ? rec.to : rec.from;
+      const VertexId v = reverse ? rec.from : rec.to;
+      if (dist[u] == kInf) continue;
+      const double nd = dist[u] + cost(e);
+      if (nd < dist[v] - 1e-12) {
+        dist[v] = nd;
         changed = true;
       }
     }
@@ -62,41 +64,28 @@ TEST_P(ShortestPathProperty, DijkstraMatchesBellmanFord) {
   }
 }
 
-TEST_P(ShortestPathProperty, AStarMatchesDijkstraOnLength) {
+TEST_P(ShortestPathProperty, ReverseSweepMatchesBellmanFordOverInEdges) {
   const RoadNetwork net = BuildTestNetwork(GetParam() + 100);
-  const auto cost = EdgeCostFn::Length(net);
-  Dijkstra dijkstra(net);
-  AStar astar(net);
-  pathrank::Rng rng(GetParam() * 3 + 1);
-  for (int i = 0; i < 25; ++i) {
-    const auto s = static_cast<VertexId>(rng.NextBounded(net.num_vertices()));
-    const auto t = static_cast<VertexId>(rng.NextBounded(net.num_vertices()));
-    if (s == t) continue;
-    const auto pd = dijkstra.ShortestPath(s, t, cost);
-    const auto pa = astar.ShortestPath(s, t, cost);
-    ASSERT_EQ(pd.has_value(), pa.has_value());
-    if (pd.has_value()) {
-      EXPECT_NEAR(pd->cost, pa->cost, 1e-6 * std::max(1.0, pd->cost));
-    }
-  }
-}
-
-TEST_P(ShortestPathProperty, AStarMatchesDijkstraOnTravelTime) {
-  const RoadNetwork net = BuildTestNetwork(GetParam() + 200);
   const auto cost = EdgeCostFn::TravelTime(net);
   Dijkstra dijkstra(net);
-  AStar astar(net);
-  pathrank::Rng rng(GetParam() * 5 + 2);
-  for (int i = 0; i < 25; ++i) {
-    const auto s = static_cast<VertexId>(rng.NextBounded(net.num_vertices()));
-    const auto t = static_cast<VertexId>(rng.NextBounded(net.num_vertices()));
-    if (s == t) continue;
-    const auto pd = dijkstra.ShortestPath(s, t, cost);
-    const auto pa = astar.ShortestPath(s, t, cost);
-    ASSERT_EQ(pd.has_value(), pa.has_value());
-    if (pd.has_value()) {
-      EXPECT_NEAR(pd->cost, pa->cost, 1e-6 * std::max(1.0, pd->cost));
+  pathrank::Rng rng(GetParam() * 3 + 1);
+  const auto target =
+      static_cast<VertexId>(rng.NextBounded(net.num_vertices()));
+  const auto reference = BellmanFord(net, target, cost, /*reverse=*/true);
+  dijkstra.ComputeAllTo(target, cost);
+  for (VertexId v = 0; v < net.num_vertices(); ++v) {
+    if (reference[v] == kInf) {
+      EXPECT_FALSE(dijkstra.Reached(v));
+      continue;
     }
+    EXPECT_NEAR(dijkstra.DistanceTo(v), reference[v], 1e-6);
+    // The reverse tree's path runs v -> target at the swept distance.
+    const auto path = dijkstra.PathTo(v);
+    ASSERT_TRUE(path.has_value());
+    EXPECT_EQ(path->source(), v);
+    EXPECT_EQ(path->destination(), target);
+    EXPECT_TRUE(ValidatePath(net, *path).empty()) << ValidatePath(net, *path);
+    EXPECT_EQ(path->cost, dijkstra.DistanceTo(v));
   }
 }
 

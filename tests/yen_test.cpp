@@ -14,10 +14,10 @@
 #include "graph/network_builder.h"
 #include "routing/ban_set.h"
 #include "routing/cost_model.h"
+#include "routing/dijkstra.h"
 #include "routing/diversified.h"
 #include "routing/path_similarity.h"
 #include "routing/preprocessed_graph.h"
-#include "routing/shortest_path_engine.h"
 #include "routing/yen.h"
 
 namespace pathrank::routing {
@@ -131,6 +131,30 @@ TEST(Yen, UnreachableYieldsEmpty) {
   const RoadNetwork net = b.Build();
   const auto cost = EdgeCostFn::Length(net);
   EXPECT_TRUE(TopKShortestPaths(net, 0, 1, cost, 3).empty());
+}
+
+TEST(Yen, ParallelEdgesDoNotHideOtherPaths) {
+  // Two parallel 0->1 roads: banning only the first path's 0->1 edge at
+  // spur 0 would let the search take the 2 m twin, regenerate 0-1-2, and
+  // never reach 0-2. Spur bans cover every edge to the next vertex.
+  RoadNetworkBuilder b;
+  for (int i = 0; i < 3; ++i) b.AddVertex({57.0 + 0.01 * i, 9.9});
+  b.AddEdge(0, 1, 1.0, RoadCategory::kResidential);
+  b.AddEdge(0, 1, 2.0, RoadCategory::kResidential);
+  b.AddEdge(1, 2, 1.0, RoadCategory::kResidential);
+  b.AddEdge(0, 2, 10.0, RoadCategory::kResidential);
+  const RoadNetwork net = b.Build();
+  const auto cost = EdgeCostFn::Length(net);
+  Dijkstra plain(net);
+  Dijkstra alt(net, std::make_shared<const PreprocessedGraph>(net, cost, 2));
+  for (Dijkstra* search : {&plain, &alt}) {
+    const auto paths = TopKShortestPaths(net, 0, 2, cost, 5, nullptr, search);
+    ASSERT_EQ(paths.size(), 2u);
+    EXPECT_EQ(paths[0].vertices, (std::vector<VertexId>{0, 1, 2}));
+    EXPECT_EQ(paths[0].cost, 2.0);
+    EXPECT_EQ(paths[1].vertices, (std::vector<VertexId>{0, 2}));
+    EXPECT_EQ(paths[1].cost, 10.0);
+  }
 }
 
 class DiversifiedProperty : public ::testing::TestWithParam<double> {};
@@ -257,27 +281,39 @@ RoadNetwork MakeUnitGrid(int rows, int cols) {
   return b.Build();
 }
 
-/// Random directed graph on `n` vertices, no self-loops or parallel edges.
-/// With `integer_lengths` every edge is 1, 2 or 3 m, so cost ties abound.
+/// Random directed graph on `n` vertices with `edges` distinct (u, v)
+/// pairs and no self-loops, plus `twins` extra edges parallel to randomly
+/// chosen pairs. With `integer_lengths` every edge is 1, 2 or 3 m, so cost
+/// ties abound (between parallel twins too).
 RoadNetwork MakeRandomDigraph(uint64_t seed, int n, int edges,
-                              bool integer_lengths) {
+                              bool integer_lengths, int twins = 0) {
   pathrank::Rng rng(seed);
   RoadNetworkBuilder b;
   for (int i = 0; i < n; ++i) b.AddVertex({57.0 + 0.001 * i, 9.9});
+  const auto length = [&] {
+    return integer_lengths ? 1.0 + static_cast<double>(rng.NextBounded(3))
+                           : 1.0 + 9.0 * rng.NextDouble();
+  };
+  std::vector<std::pair<VertexId, VertexId>> pairs;
   std::set<std::pair<VertexId, VertexId>> used;
   while (static_cast<int>(used.size()) < edges) {
     const auto u = static_cast<VertexId>(rng.NextBounded(n));
     const auto v = static_cast<VertexId>(rng.NextBounded(n));
     if (u == v || !used.insert({u, v}).second) continue;
-    const double length = integer_lengths
-                              ? 1.0 + static_cast<double>(rng.NextBounded(3))
-                              : 1.0 + 9.0 * rng.NextDouble();
-    b.AddEdge(u, v, length, RoadCategory::kResidential);
+    pairs.emplace_back(u, v);
+    b.AddEdge(u, v, length(), RoadCategory::kResidential);
+  }
+  for (int i = 0; i < twins; ++i) {
+    const auto& [u, v] = pairs[rng.NextBounded(pairs.size())];
+    b.AddEdge(u, v, length(), RoadCategory::kResidential);
   }
   return b.Build();
 }
 
-/// Every simple s->t path, by depth-first search.
+/// Every simple s->t path, by depth-first search. A path is a vertex
+/// sequence: between parallel edges it takes the shortest (the one
+/// FindEdge returns), which is the cheapest under the length metric the
+/// oracle tests use.
 std::vector<Path> AllSimplePaths(const RoadNetwork& net, VertexId s,
                                  VertexId t, const EdgeCostFn& cost) {
   std::vector<Path> out;
@@ -295,7 +331,7 @@ std::vector<Path> AllSimplePaths(const RoadNetwork& net, VertexId s,
     }
     for (EdgeId e : net.OutEdges(u)) {
       const VertexId v = net.edge(e).to;
-      if (on_path[v]) continue;
+      if (on_path[v] || net.FindEdge(u, v) != e) continue;
       on_path[v] = true;
       current.vertices.push_back(v);
       current.edges.push_back(e);
@@ -347,16 +383,22 @@ void ExpectTopKMatchesOracle(const RoadNetwork& net, VertexId s, VertexId t,
 }
 
 TEST(YenOracle, RandomDigraphsReturnTheKCheapestSimplePaths) {
-  for (uint64_t seed = 1; seed <= 12; ++seed) {
-    const bool integer_lengths = seed % 2 == 0;
-    const RoadNetwork net = MakeRandomDigraph(seed, 8, 22, integer_lengths);
-    pathrank::Rng rng(seed * 7 + 3);
-    for (int q = 0; q < 4; ++q) {
-      const auto s = static_cast<VertexId>(rng.NextBounded(8));
-      const auto t = static_cast<VertexId>(rng.NextBounded(8));
-      if (s == t) continue;
-      for (const int k : {1, 3, 10, 1000}) {
-        ExpectTopKMatchesOracle(net, s, t, k);
+  // With parallel twins Yen must return each vertex sequence once, at its
+  // cheapest parallel edges.
+  for (const int twins : {0, 8}) {
+    SCOPED_TRACE("twins " + std::to_string(twins));
+    for (uint64_t seed = 1; seed <= 12; ++seed) {
+      const bool integer_lengths = seed % 2 == 0;
+      const RoadNetwork net =
+          MakeRandomDigraph(seed, 8, 22, integer_lengths, twins);
+      pathrank::Rng rng(seed * 7 + 3);
+      for (int q = 0; q < 4; ++q) {
+        const auto s = static_cast<VertexId>(rng.NextBounded(8));
+        const auto t = static_cast<VertexId>(rng.NextBounded(8));
+        if (s == t) continue;
+        for (const int k : {1, 3, 10, 1000}) {
+          ExpectTopKMatchesOracle(net, s, t, k);
+        }
       }
     }
   }
@@ -380,7 +422,7 @@ TEST(YenOracle, UnitGridReturnsTheKCheapestSimplePaths) {
 /// paths of the enumeration, in order.
 std::vector<Path> FullSpurYen(const RoadNetwork& net, VertexId s, VertexId t,
                               const EdgeCostFn& cost, size_t max_paths,
-                              ShortestPathEngine* engine) {
+                              Dijkstra* search) {
   struct Candidate {
     double cost;
     Path path;
@@ -390,7 +432,7 @@ std::vector<Path> FullSpurYen(const RoadNetwork& net, VertexId s, VertexId t,
     }
   };
   std::vector<Path> accepted;
-  SearchResult first = engine->FindPath(s, t, cost, nullptr, nullptr);
+  SearchResult first = search->FindPath(s, t, cost, nullptr, nullptr);
   if (!first.found()) return accepted;
   std::set<std::vector<VertexId>> seen{first.path.vertices};
   accepted.push_back(std::move(first.path));
@@ -409,7 +451,7 @@ std::vector<Path> FullSpurYen(const RoadNetwork& net, VertexId s, VertexId t,
       }
       for (size_t j = 0; j < i; ++j) bans.BanVertex(base.vertices[j]);
       SearchResult r =
-          engine->FindPath(base.vertices[i], t, cost, &bans, nullptr);
+          search->FindPath(base.vertices[i], t, cost, &bans, nullptr);
       if (!r.found()) continue;
       Path cand;
       cand.edges.assign(base.edges.begin(), base.edges.begin() + i);
@@ -478,17 +520,17 @@ void ExpectBitwiseEqual(const std::vector<Path>& expected,
 
 enum class Spur { kDijkstra, kAlt };
 
-std::unique_ptr<ShortestPathEngine> MakeEngine(
-    Spur kind, const RoadNetwork& net, const EdgeCostFn& cost,
+std::unique_ptr<Dijkstra> MakeSearch(
+    Spur kind, const RoadNetwork& net,
     const std::shared_ptr<const PreprocessedGraph>& tables) {
-  if (kind == Spur::kDijkstra) return std::make_unique<DijkstraEngine>(net);
-  return std::make_unique<AltEngine>(net, cost, tables);
+  return std::make_unique<Dijkstra>(net,
+                                    kind == Spur::kAlt ? tables : nullptr);
 }
 
 /// TkDI k=10, TkDI k=60 and D-TkDI (k=10, threshold 0.6, 300 enumerated:
-/// the serving config) from the library vs the full-spur reference, with
-/// both spur engines. Separate engine instances for the two sides, so
-/// scratch reuse inside an engine cannot leak into the comparison.
+/// the serving config) from the library vs the full-spur reference, in
+/// both search modes. Separate search instances for the two sides, so
+/// scratch reuse inside a search cannot leak into the comparison.
 void ExpectLawlerMatchesFullSpur(const RoadNetwork& net, const EdgeCostFn& cost,
                                  const std::vector<std::pair<VertexId, VertexId>>&
                                      pairs) {
@@ -498,25 +540,25 @@ void ExpectLawlerMatchesFullSpur(const RoadNetwork& net, const EdgeCostFn& cost,
   diversified.similarity_threshold = 0.6;
   diversified.max_enumerated = 300;
   for (const Spur kind : {Spur::kDijkstra, Spur::kAlt}) {
-    auto reference_engine = MakeEngine(kind, net, cost, tables);
-    auto engine = MakeEngine(kind, net, cost, tables);
+    auto reference_search = MakeSearch(kind, net, tables);
+    auto search = MakeSearch(kind, net, tables);
     for (const auto& [s, t] : pairs) {
-      SCOPED_TRACE(std::string(engine->name()) + " " + std::to_string(s) +
-                   "->" + std::to_string(t));
+      SCOPED_TRACE(std::string(kind == Spur::kAlt ? "alt" : "dijkstra") +
+                   " " + std::to_string(s) + "->" + std::to_string(t));
       const std::vector<Path> reference =
-          FullSpurYen(net, s, t, cost, 300, reference_engine.get());
+          FullSpurYen(net, s, t, cost, 300, reference_search.get());
       for (const int k : {10, 60}) {
         const std::vector<Path> want(
             reference.begin(),
             reference.begin() + std::min<size_t>(k, reference.size()));
         ExpectBitwiseEqual(want,
                            TopKShortestPaths(net, s, t, cost, k, nullptr,
-                                             engine.get()),
+                                             search.get()),
                            k == 10 ? "TkDI-10" : "TkDI-60");
       }
       ExpectBitwiseEqual(ReferenceDiversified(net, reference, diversified),
                          DiversifiedTopK(net, s, t, cost, diversified,
-                                         nullptr, engine.get()),
+                                         nullptr, search.get()),
                          "D-TkDI");
     }
   }
@@ -552,8 +594,8 @@ TEST(YenLawler, SpursOnlyFromTheDeviationIndex) {
   // (identical) output.
   const RoadNetwork net = MakeUnitGrid(7, 7);
   const auto cost = EdgeCostFn::Length(net);
-  DijkstraEngine reference(net);
-  DijkstraEngine lawler(net);
+  Dijkstra reference(net);
+  Dijkstra lawler(net);
   const auto want = FullSpurYen(net, 0, 48, cost, 60, &reference);
   ExpectBitwiseEqual(want,
                      TopKShortestPaths(net, 0, 48, cost, 60, nullptr, &lawler),
